@@ -16,7 +16,12 @@ from enum import Enum
 
 import numpy as np
 
-from .chamfer_mask import ChamferMask, WedgeDecomposition, build_wedges
+from .chamfer_mask import (
+    ChamferMask,
+    WedgeDecomposition,
+    _integer_weights,
+    build_wedges,
+)
 from .lattice import Lattice
 
 
@@ -165,14 +170,16 @@ def make_scan_plan(mask: ChamferMask) -> ScanPlan:
 
 def scan_order(image: GridImage, a):
     """Indices of support points sorted by ascending a . p, ties broken by
-    lexicographic coordinate order.  Returns (flat_indices, sigma)."""
-    grids = image.coordinate_grids()
+    lexicographic coordinate order.  Returns (flat_indices, sigma).
+
+    The support is listed in C order, which is lexicographic, so a stable
+    sort on sigma alone keeps that tie-break."""
+    axes = np.ogrid[tuple(slice(o, o + d)
+                          for o, d in zip(image.origin, image.dims))]
     sup = image.support
-    coords = [g[sup] for g in grids]
-    sigma = sum(int(ai) * c for ai, c in zip(a, coords))
-    keys = tuple(reversed(coords)) + (sigma,)
-    order = np.lexsort(keys)
-    flat = np.flatnonzero(sup.ravel())[order]
+    sigma = sum(int(ai) * x for ai, x in zip(a, axes))[sup]
+    order = np.argsort(sigma, kind="stable")
+    flat = np.flatnonzero(sup)[order]
     return flat, sigma[order]
 
 
@@ -274,6 +281,14 @@ def validate_image(mask: ChamferMask, image: GridImage,
     return ValidationResult(Verdict.INVALID, reason)
 
 
+def _require_integer_weights(mask: ChamferMask):
+    """Distances are exact int64 sums of weights, so other weights are
+    refused rather than truncated."""
+    if not _integer_weights(mask):
+        raise EngineError("distance transforms need integer weights, got "
+                          f"{sorted(set(mask.weights))}")
+
+
 def _padded_setup(image: GridImage, mask: ChamferMask):
     dims = image.dims
     n = len(dims)
@@ -313,6 +328,7 @@ def chamfer_two_scan(image: GridImage, mask: ChamferMask,
     effect is that refusal), so an invalid image is then transformed and
     the result is merely an upper bound.
     """
+    _require_integer_weights(mask)
     if not unsafe:
         check = validate_image(mask, image, decomposition)
         if check.verdict is Verdict.INVALID:
@@ -355,6 +371,7 @@ def dijkstra_oracle(image: GridImage, mask: ChamferMask) -> DistanceMap:
 
     The support sits in a margin of non-support slots as wide as the mask,
     so a neighbour's flat index needs no bounds check."""
+    _require_integer_weights(mask)
     pad, pdims, inner, inf, _dist, strides = _padded_setup(image, mask)
     sup = np.zeros(pdims, dtype=bool)
     sup[inner] = image.support
@@ -385,6 +402,7 @@ def dijkstra_oracle(image: GridImage, mask: ChamferMask) -> DistanceMap:
 def parallel_iterative_oracle(image: GridImage, mask: ChamferMask,
                               max_sweeps: int | None = None) -> DistanceMap:
     """Synchronous full-mask min-update sweeps until fixpoint."""
+    _require_integer_weights(mask)
     pad, pdims, inner, inf, dist, strides = _padded_setup(image, mask)
     sup = image.support
     dims = image.dims

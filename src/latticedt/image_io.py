@@ -20,6 +20,8 @@ lexicographic raster order with x fastest.  Images store 0 (background) or
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .chamfer_mask import ChamferMask, MaskError
@@ -27,22 +29,35 @@ from .dt_engine import DistanceMap, GridImage
 from .lattice import Lattice, custom_lattice, lattice_by_name
 
 INF32 = 4294967295
+# Whitespace that may separate ASCII payload values.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+# Place values of the ten decimal digits INF32 can have, then 0 for every
+# place further left, where any value that fits has a zero digit.
+_POW10 = np.append(10 ** np.arange(10, dtype=np.int64), 0)
+# Values formatted per chunk by the text writers.
+_CHUNK_VALUES = 1 << 18
 
 
 class FormatError(ValueError):
     """Raised for malformed LDT1 or mask files."""
 
 
-def _member_order(lattice, origin, dims):
-    """Flat indices of lattice members in x-fastest raster order, for an
-    array indexed [x, y(, z)]."""
-    member = lattice.member_grid(origin, dims)
-    # Transposing makes x the last (fastest) axis of the C-order raster.
-    order = np.flatnonzero(member.transpose()[..., :].ravel())
-    # Convert transposed flat indices back to original-layout flat indices.
-    rev = np.array(np.unravel_index(order, tuple(reversed(dims))))
-    coords = tuple(reversed(rev))
-    return np.ravel_multi_index(coords, dims), member
+def _raster(lattice, origin, dims):
+    """Lattice membership of the box seen in payload order.  The transposed
+    view makes x the last, fastest axis of a C-order walk, so boolean
+    indexing through it reads or writes the payload in place."""
+    return lattice.member_grid(origin, dims).T
+
+
+def _member_count(lattice, origin, dims):
+    """Number of lattice members in the box, counted on one period of the
+    membership pattern (covolume * e_i lies in the lattice), so that a huge
+    header costs no allocation."""
+    m = lattice.covolume
+    tile = lattice.member_grid(origin, tuple(min(m, d) for d in dims))
+    return sum(math.prod((d - j + m - 1) // m for d, j in zip(dims, r))
+               for r in np.argwhere(tile).tolist())
 
 
 def _parse_header(lines):
@@ -92,22 +107,51 @@ def _header_lattice(fields):
         or (0,) * len(dims)
     if len(origin) != len(dims):
         raise FormatError("origin length mismatch")
+    if any(abs(v) >= 2 ** 62 for v in dims + origin):
+        raise FormatError("dims and origin must lie below 2**62")
     return lattice, dims, origin
 
 
-def _read_payload(fields, text_rest, raw_rest, count):
+def _read_payload(fields, raw, count):
+    """The ``count`` payload values as int64; any other count is refused
+    before the box is allocated."""
     if fields["data"] == "ascii":
-        tokens = text_rest.split()
-        if len(tokens) != count:
+        values = _parse_ascii(raw)
+        if len(values) != count:
             raise FormatError(f"expected {count} payload values, "
-                              f"got {len(tokens)}")
-        return np.array([int(t) for t in tokens], dtype=np.int64)
+                              f"got {len(values)}")
+        return values
     if fields["data"] == "binary":
-        if len(raw_rest) != 4 * count:
+        if len(raw) != 4 * count:
             raise FormatError(f"expected {4 * count} payload bytes, "
-                              f"got {len(raw_rest)}")
-        return np.frombuffer(raw_rest, dtype="<u4").astype(np.int64)
+                              f"got {len(raw)}")
+        return np.frombuffer(raw, dtype="<u4").astype(np.int64)
     raise FormatError(f"unknown data encoding {fields['data']!r}")
+
+
+def _parse_ascii(raw):
+    """Values of an ASCII payload: unsigned decimal integers up to INF32
+    separated by whitespace.  Each digit is weighted by its place value
+    and each token summed in one pass, with no per-token loop."""
+    a = np.frombuffer(raw, dtype=np.uint8)
+    digit = (a >= ord("0")) & (a <= ord("9"))
+    if not np.all(digit | _SPACE[a]):
+        raise FormatError("ASCII payload may hold only unsigned decimal "
+                          "integers and whitespace")
+    edge = np.diff(digit.view(np.int8), prepend=np.int8(0),
+                   append=np.int8(0))
+    starts = np.flatnonzero(edge == 1)
+    lengths = np.flatnonzero(edge == -1) - starts
+    if not len(lengths):
+        return np.zeros(0, dtype=np.int64)
+    digits = a[digit] - ord("0")
+    ends = np.cumsum(lengths)
+    place = np.minimum(np.repeat(ends, lengths) - np.arange(len(digits)) - 1,
+                       10)
+    values = np.add.reduceat(digits * _POW10[place], ends - lengths)
+    if np.any(digits[place == 10]) or np.any(values > INF32):
+        raise FormatError(f"payload value exceeds {INF32}")
+    return values
 
 
 def _split_file(path):
@@ -127,34 +171,28 @@ def _split_file(path):
     return lines, raw[pos:]
 
 
-def read_image(path) -> GridImage:
+def _read(path):
     lines, rest = _split_file(path)
     fields, _ = _parse_header(lines)
     lattice, dims, origin = _header_lattice(fields)
-    order, member = _member_order(lattice, origin, dims)
-    payload = _read_payload(fields, rest.decode("ascii", errors="strict")
-                            if fields["data"] == "ascii" else "",
-                            rest, len(order))
-    if np.any((payload != 0) & (payload != 1)):
+    payload = _read_payload(fields, rest, _member_count(lattice, origin, dims))
+    return fields, lattice, dims, origin, payload
+
+
+def read_image(path) -> GridImage:
+    _fields, lattice, dims, origin, payload = _read(path)
+    if np.any(payload > 1):
         raise FormatError("image payload must be 0/1")
     values = np.full(dims, -1, dtype=np.int8)
-    values.ravel()[order] = payload.astype(np.int8)
+    values.T[_raster(lattice, origin, dims)] = payload.astype(np.int8)
     return GridImage(lattice, origin, values)
 
 
 def read_distance_map(path) -> DistanceMap:
-    lines, rest = _split_file(path)
-    fields, _ = _parse_header(lines)
-    lattice, dims, origin = _header_lattice(fields)
+    fields, lattice, dims, origin, payload = _read(path)
     scale = float(fields.get("scale", 1.0))
-    order, member = _member_order(lattice, origin, dims)
-    payload = _read_payload(fields, rest.decode("ascii")
-                            if fields["data"] == "ascii" else "",
-                            rest, len(order))
-    if np.any(payload < 0):
-        raise FormatError("distance values must be nonnegative")
     values = np.full(dims, INF32, dtype=np.int64)
-    values.ravel()[order] = payload
+    values.T[_raster(lattice, origin, dims)] = payload
     return DistanceMap(lattice, origin, values, INF32, scale)
 
 
@@ -176,42 +214,56 @@ def _header_text(lattice, dims, origin, encoding, scale=None):
     return "\n".join(out) + "\n"
 
 
+def _write(path, header, flat, per_line, encoding):
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii"))
+        if encoding != "ascii":
+            f.write(flat.astype("<u4").tobytes())
+        elif not len(flat):
+            f.write(b"\n")  # an empty payload is one empty line
+        else:
+            # per_line values a line; a short last line takes the rest.
+            full = len(flat) - len(flat) % per_line
+            tables = [flat[:full].reshape(-1, per_line)]
+            if full < len(flat):
+                tables.append(flat[full:].reshape(1, -1))
+            for table in tables:
+                for text in _text_rows(table, " "):
+                    f.write(text.encode("ascii"))
+
+
+def _text_rows(table, sep):
+    """One line of ``sep``-joined decimal integers per row of the 2-D
+    ``table``, as text chunks of about _CHUNK_VALUES values, each formatted
+    by one template."""
+    rows, cols = table.shape
+    step = max(1, _CHUNK_VALUES // cols)
+    line = sep.join(["%d"] * cols) + "\n"
+    for s in range(0, rows, step):
+        block = table[s:s + step]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
 def write_image(image: GridImage, path, encoding="ascii"):
     """Serialize an image whose support is every lattice member of its box
     (carved supports have no file representation)."""
-    order, member = _member_order(image.lattice, image.origin, image.dims)
-    flat = image.values.ravel()[order]
+    flat = image.values.T[_raster(image.lattice, image.origin, image.dims)]
     if np.any(flat < 0):
         raise FormatError("cannot serialize an image with a carved support")
     header = _header_text(image.lattice, image.dims, image.origin, encoding)
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        if encoding == "ascii":
-            f.write(_ascii_payload(flat, image.dims))
-        else:
-            f.write(flat.astype("<u4").tobytes())
+    _write(path, header, flat, image.dims[0], encoding)
 
 
 def write_distance_map(dmap: DistanceMap, path, encoding="ascii"):
-    order, member = _member_order(dmap.lattice, dmap.origin, dmap.dims)
-    flat = dmap.values.ravel()[order]
-    flat = np.where(flat >= dmap.infinity, INF32, flat)
+    flat = dmap.values.T[_raster(dmap.lattice, dmap.origin, dmap.dims)]
+    finite = flat < dmap.infinity
+    if np.any(finite & ((flat < 0) | (flat >= INF32))):
+        raise FormatError(f"finite distances must lie in [0, {INF32}) to "
+                          "fit a 32-bit payload")
+    flat = np.where(finite, flat, INF32)
     header = _header_text(dmap.lattice, dmap.dims, dmap.origin, encoding,
                           scale=dmap.scale)
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        if encoding == "ascii":
-            f.write(_ascii_payload(flat, dmap.dims))
-        else:
-            f.write(flat.astype("<u4").tobytes())
-
-
-def _ascii_payload(flat, dims, per_line=None):
-    per_line = per_line or dims[0]
-    toks = [str(int(v)) for v in flat]
-    lines = [" ".join(toks[i:i + per_line])
-             for i in range(0, len(toks), per_line)]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    _write(path, header, flat, dmap.dims[0], encoding)
 
 
 # ---------------------------------------------------------------------------
@@ -305,29 +357,11 @@ def box_phantom(lattice, dims, lo, hi) -> GridImage:
 
 
 def distance_map_csv(dmap: DistanceMap):
-    """CSV text 'x,y[,z],value' for every finite map entry."""
-    import io
-
-    grids = np.meshgrid(*[np.arange(o, o + d)
-                          for o, d in zip(dmap.origin, dmap.dims)],
-                        indexing="ij")
-    finite = dmap.values < dmap.infinity
-    coords = np.stack([g[finite] for g in grids], axis=1)
-    vals = dmap.values[finite]
+    """CSV text 'x,y[,z],value' for every finite map entry, in lexicographic
+    coordinate order, which is the C order of the array."""
+    flat = np.flatnonzero(dmap.values < dmap.infinity)
+    coords = np.unravel_index(flat, dmap.dims)
+    table = np.column_stack([c + o for c, o in zip(coords, dmap.origin)]
+                            + [dmap.values.ravel()[flat]])
     names = ["x", "y", "z"][:len(dmap.dims)]
-    buf = io.StringIO()
-    buf.write(",".join(names + ["value"]) + "\n")
-    order = np.lexsort(tuple(coords[:, i] for i in
-                             range(coords.shape[1] - 1, -1, -1)))
-    for i in order:
-        buf.write(",".join(str(int(c)) for c in coords[i]) +
-                  f",{int(vals[i])}\n")
-    return buf.getvalue()
-
-
-def points_csv(points):
-    names = ["x", "y", "z"][:len(points[0])] if points else ["x", "y"]
-    lines = [",".join(names)]
-    for p in points:
-        lines.append(",".join(str(int(c)) for c in p))
-    return "\n".join(lines) + "\n"
+    return ",".join(names + ["value"]) + "\n" + "".join(_text_rows(table, ","))

@@ -148,21 +148,25 @@ class Lattice:
 
     def member_grid(self, origin, dims):
         """Boolean membership array for the axis-aligned box of shape ``dims``
-        anchored at integer ``origin`` (vectorized, exact)."""
+        anchored at integer ``origin`` (vectorized, exact).
+
+        Each distinct adjugate row gives one congruence adj . p = 0 (mod
+        covolume).  Its left side is a sum of per-axis residues, broadcast
+        over the box from one short vector per axis."""
         import numpy as np
 
-        n = self.dim
-        d0 = int_det(self.generators)
-        adj = np.array(self._adjugate, dtype=np.int64)
-        axes = [np.arange(origin[i], origin[i] + dims[i], dtype=np.int64)
-                for i in range(n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        ok = np.ones(tuple(dims), dtype=bool)
-        for row in adj:
-            acc = np.zeros(tuple(dims), dtype=np.int64)
-            for coef, g in zip(row, grids):
-                acc += int(coef) * g
-            ok &= (acc % abs(d0)) == 0
+        dims = tuple(int(d) for d in dims)
+        m = self.covolume
+        ok = np.ones(dims, dtype=bool)
+        if m == 1:
+            return ok
+        axes = np.ogrid[tuple(slice(o, o + d) for o, d in zip(origin, dims))]
+        # A sum of n residues below m fits this (usually one-byte) type.
+        small = np.min_scalar_type(self.dim * (m - 1))
+        rows = {tuple(c % m for c in row) for row in self._adjugate}
+        for row in sorted(rows - {(0,) * self.dim}):
+            acc = sum((c * x % m).astype(small) for c, x in zip(row, axes))
+            ok &= acc % m == 0
         return ok
 
     def decompose(self, point):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import fixture_path
-from latticedt import image_io
+from latticedt import cli, dt_engine, image_io
 from latticedt.cli import main
-from latticedt.lattice import bcc_lattice
+from latticedt.lattice import bcc_lattice, square_lattice
 
 
 def run(capsys, *argv):
@@ -144,3 +144,36 @@ def test_bad_weight_count(capsys):
                        "1,2,3", "--radius", "2")
     assert code == 1
     assert "error:" in err
+
+
+def test_dt_float_weights_is_a_clean_error(tmp_path, capsys):
+    img = image_io.random_image(square_lattice(), (20, 20), density=0.6,
+                                seed=3)
+    src = tmp_path / "img.ldt"
+    image_io.write_image(img, src)
+    code, _, err = run(capsys, "dt", "--in", str(src), "--vectors", "z2-2",
+                       "--weights", "0.955,1.369")
+    assert code == 1
+    assert "error:" in err and "integer weights" in err
+    code, out, _ = run(capsys, "mask", "check", "--vectors", "z2-2",
+                       "--weights", "0.955,1.369")
+    assert code == 0
+    assert "scale: 1.0021  error: 4.30%" in out
+
+
+def test_dt_validates_once(capsys, monkeypatch):
+    calls = []
+    real = dt_engine.validate_image
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dt_engine, "validate_image", counted)
+    monkeypatch.setattr(cli, "validate_image", counted)
+    code, out, _ = run(capsys, "dt", "--in",
+                       fixture_path("border_bg_image.ldt"),
+                       "--vectors", "z2-2", "--weights", "3,4")
+    assert code == 0
+    assert "validation: border-background" in out
+    assert len(calls) == 1

@@ -26,6 +26,7 @@ from latticedt.lattice import (
     square_lattice,
 )
 from latticedt.presets import preset_mask
+from latticedt.weight_opt import max_relative_error
 
 
 def border_depth(mask):
@@ -260,3 +261,33 @@ def test_two_scan_on_anisotropic_lattice_is_combinatorial():
     a = chamfer_two_scan(img_iso, mask_iso).values
     b = chamfer_two_scan(img_an, mask_an).values
     assert np.array_equal(a, b)
+
+
+def test_scan_order_is_sigma_then_lexicographic():
+    mask = preset_mask("bcc2", (13, 15))
+    a = make_scan_plan(mask).normal
+    img = GridImage.from_foreground(bcc_lattice(), (-3, -2, -5),
+                                    np.ones((7, 6, 5), bool))
+    flat, sigma = scan_order(img, a)
+
+    def point(f):
+        return tuple(int(c) + o for c, o in
+                     zip(np.unravel_index(f, img.dims), img.origin))
+
+    expected = sorted(map(point, np.flatnonzero(img.support)),
+                      key=lambda p: (np.dot(a, p), p))
+    assert [point(f) for f in flat] == expected
+    assert sigma.tolist() == [int(np.dot(a, p)) for p in expected]
+
+
+def test_float_weights_refused_by_engine():
+    mask = preset_mask("z2-2", (0.955, 1.369))
+    img = random_image(square_lattice(), (20, 20), density=0.6, seed=3)
+    for transform in (chamfer_two_scan, dijkstra_oracle,
+                      parallel_iterative_oracle):
+        with pytest.raises(EngineError, match="integer weights"):
+            transform(img, mask)
+    with pytest.raises(EngineError, match="integer weights"):
+        chamfer_two_scan(img, mask, unsafe=True)
+    # the mask itself and its error analysis still take real weights
+    assert max_relative_error(build_wedges(mask)).error > 0

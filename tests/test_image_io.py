@@ -18,8 +18,21 @@ from latticedt.image_io import (
     write_image,
     write_mask,
 )
-from latticedt.lattice import bcc_lattice, fcc_lattice, square_lattice
+from latticedt.dt_engine import DistanceMap
+from latticedt.image_io import INF32
+from latticedt.lattice import (
+    bcc_lattice,
+    cubic_lattice,
+    custom_lattice,
+    fcc_lattice,
+    square_lattice,
+)
 from latticedt.presets import preset_mask
+
+LATTICES = {"Z2": (square_lattice, (11, 7)),
+            "Z3": (cubic_lattice, (5, 4, 3)),
+            "BCC": (bcc_lattice, (7, 6, 5)),
+            "FCC": (fcc_lattice, (7, 5, 3))}
 
 
 def test_image_round_trip_ascii(tmp_path):
@@ -168,3 +181,181 @@ def test_csv_export():
     assert lines[0] == "x,y,value"
     assert "1,1,0" in lines
     assert len(lines) == 10
+
+
+# ---------------------------------------------------------------------------
+# The vectorised codec against a plain per-token reference.
+# ---------------------------------------------------------------------------
+
+
+def reference_payload_order(lattice, origin, dims):
+    """Flat indices of the box's lattice members, x fastest, by brute force
+    over Lattice.member."""
+    order = []
+    for rev in np.ndindex(*reversed(dims)):
+        p = tuple(reversed(rev))
+        if lattice.member(tuple(o + c for o, c in zip(origin, p))):
+            order.append(int(np.ravel_multi_index(p, dims)))
+    return np.array(order, dtype=np.int64)
+
+
+def reference_ascii(values, lattice, origin, dims):
+    """ASCII payload: dims[0] tokens a line, a short last line."""
+    flat = values.ravel()[reference_payload_order(lattice, origin, dims)]
+    toks = [str(int(v)) for v in flat]
+    lines = [" ".join(toks[i:i + dims[0]])
+             for i in range(0, len(toks), dims[0])]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def reference_csv(dmap):
+    """'x,y[,z],value' lines of every finite entry, sorted by coordinate."""
+    grids = np.meshgrid(*[np.arange(o, o + d)
+                          for o, d in zip(dmap.origin, dmap.dims)],
+                        indexing="ij")
+    finite = dmap.values < dmap.infinity
+    rows = sorted((tuple(int(g[idx]) for g in grids), int(dmap.values[idx]))
+                  for idx in zip(*np.nonzero(finite)))
+    names = ["x", "y", "z"][:len(dmap.dims)]
+    return "".join([",".join(names + ["value"]) + "\n"] +
+                   [",".join(str(c) for c in p) + f",{v}\n"
+                    for p, v in rows])
+
+
+def sample_map(name, seed=0):
+    """Map over a negative-origin box: lattice members hold 0 .. 2e5 or
+    the infinity, non-members the infinity."""
+    make, dims = LATTICES[name]
+    lattice = make()
+    origin = tuple(-3 - i for i in range(len(dims)))
+    rng = np.random.default_rng(seed)
+    inf = 10 ** 6
+    values = rng.integers(0, 200000, dims)
+    values[rng.random(dims) < 0.2] = inf
+    values[rng.random(dims) < 0.1] = 0
+    values[~lattice.member_grid(origin, dims)] = inf
+    return DistanceMap(lattice, origin, values, inf, 0.5)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_map_writers_match_reference(tmp_path, name):
+    dmap = sample_map(name)
+    order = reference_payload_order(dmap.lattice, dmap.origin, dmap.dims)
+    if dmap.lattice.covolume > 1:
+        assert len(order) % dmap.dims[0] != 0  # the last line is short
+    assert np.any(dmap.values.ravel()[order] == dmap.infinity)
+    assert distance_map_csv(dmap) == reference_csv(dmap)
+    p = tmp_path / "m.ldt"
+    write_distance_map(dmap, p)
+    payload = p.read_bytes().split(b"data ascii\n", 1)[1]
+    stored = np.where(dmap.values < dmap.infinity, dmap.values, INF32)
+    assert payload == reference_ascii(stored, dmap.lattice, dmap.origin,
+                                      dmap.dims)
+    back = read_distance_map(p)
+    assert back.origin == dmap.origin
+    assert np.array_equal(back.values, stored)
+    write_distance_map(dmap, tmp_path / "b.ldt", encoding="binary")
+    back = read_distance_map(tmp_path / "b.ldt")
+    assert np.array_equal(back.values, stored)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_image_writer_matches_reference(tmp_path, name):
+    make, dims = LATTICES[name]
+    origin = tuple(-1 - 2 * i for i in range(len(dims)))
+    fg = np.random.default_rng(5).random(dims) < 0.5
+    img = GridImage.from_foreground(make(), origin, fg)
+    p = tmp_path / "i.ldt"
+    write_image(img, p)
+    payload = p.read_bytes().split(b"data ascii\n", 1)[1]
+    assert payload == reference_ascii(img.values, img.lattice, origin, dims)
+    assert np.array_equal(read_image(p).values, img.values)
+
+
+@pytest.mark.parametrize("name", ["border_bg_image.ldt", "invalid_image.ldt",
+                                  "border_bg_map.ldt",
+                                  "wedge_preserving_map.ldt"])
+def test_fixtures_rewrite_byte_identical(tmp_path, name):
+    src = fixture_path(name)
+    p = tmp_path / name
+    if name.endswith("_map.ldt"):
+        write_distance_map(read_distance_map(src), p)
+    else:
+        write_image(read_image(src), p)
+    assert p.read_bytes() == open(src, "rb").read()
+
+
+def test_member_count_matches_grid():
+    rng = np.random.default_rng(2)
+    lattices = [make() for make, _ in LATTICES.values()]
+    lattices.append(custom_lattice("c", ((2, 1), (0, 3))))
+    for lat in lattices:
+        for _ in range(10):
+            dims = tuple(int(d) for d in rng.integers(1, 9, lat.dim))
+            origin = tuple(int(o) for o in rng.integers(-9, 9, lat.dim))
+            assert image_io._member_count(lat, origin, dims) == \
+                int(lat.member_grid(origin, dims).sum())
+
+
+def header(lattice, dims, encoding):
+    return (f"LDT1\nlattice {lattice}\ndims {dims}\n"
+            f"spacing 1.0 1.0 1.0\ndata {encoding}\n").encode("ascii")
+
+
+@pytest.mark.parametrize("lattice", ["Z3", "BCC", "FCC"])
+def test_huge_dims_refused_before_allocation(tmp_path, lattice):
+    p = tmp_path / "huge.ldt"
+    for encoding, payload in (("ascii", b"0 1\n"),
+                              ("binary", bytes(8))):
+        p.write_bytes(header(lattice, "100000 100000 100000", encoding)
+                      + payload)
+        for reader in (read_image, read_distance_map):
+            with pytest.raises(FormatError, match="expected"):
+                reader(p)
+
+
+def test_out_of_range_origin_refused(tmp_path):
+    p = tmp_path / "far.ldt"
+    p.write_bytes(b"LDT1\nlattice FCC\ndims 2 2 2\nspacing 1.0 1.0 1.0\n"
+                  b"origin 0 0 " + str(2 ** 70).encode() +
+                  b"\ndata ascii\n0 0 0 0\n")
+    with pytest.raises(FormatError, match="2\\*\\*62"):
+        read_image(p)
+
+
+def test_map_values_beyond_32_bits_refused(tmp_path):
+    lat = square_lattice()
+    for big in (INF32, 2 ** 32 + 5):
+        values = np.array([[0, 1], [big, 3]], dtype=np.int64)
+        dmap = DistanceMap(lat, (0, 0), values, 2 ** 40)
+        for encoding in ("ascii", "binary"):
+            with pytest.raises(FormatError):
+                write_distance_map(dmap, tmp_path / "m.ldt",
+                                   encoding=encoding)
+    # the infinity itself is stored as INF32
+    dmap = DistanceMap(lat, (0, 0), np.array([[0, 2 ** 40]]), 2 ** 40)
+    write_distance_map(dmap, tmp_path / "m.ldt")
+    assert read_distance_map(tmp_path / "m.ldt").values.tolist() == \
+        [[0, INF32]]
+
+
+def ascii_map(tmp_path, payload):
+    p = tmp_path / "m.ldt"
+    p.write_bytes(b"LDT1\nlattice Z2\ndims 2 2\nspacing 1.0 1.0\n"
+                  b"data ascii\n" + payload)
+    return p
+
+
+def test_ascii_payload_accepts_unsigned_decimals(tmp_path):
+    p = ascii_map(tmp_path, b"  007\t0\r\n 4294967295\x0b\x0c"
+                            b"0000000000000000012")
+    assert read_distance_map(p).values.tolist() == [[7, INF32], [0, 12]]
+
+
+@pytest.mark.parametrize("token", [b"+1", b"-0", b"1_0", b"0x1", b"1.0",
+                                   b"1e3", b"\xd9\xa1", b"4294967296",
+                                   b"99999999999999999999", b"100000000005",
+                                   b"1,"])
+def test_ascii_payload_refuses_other_tokens(tmp_path, token):
+    with pytest.raises(FormatError):
+        read_distance_map(ascii_map(tmp_path, b"0 1 2 " + token + b"\n"))

@@ -98,6 +98,17 @@ def test_member_grid_matches_member():
                     assert grid[i, j, k] == lat.member((i - 3, j - 2, k - 1))
 
 
+def test_member_grid_unit_and_custom_covolume():
+    assert cubic_lattice().member_grid((-2, 5, 1), (3, 4, 2)).all()
+    # covolumes 6 and 307: one-byte and two-byte residue sums
+    for gens in (((2, 1), (0, 3)), ((7, 2), (-3, 43))):
+        lat = custom_lattice("c", gens)
+        grid = lat.member_grid((-5, -4), (11, 13))
+        for i in range(11):
+            for j in range(13):
+                assert grid[i, j] == lat.member((i - 5, j - 4))
+
+
 def test_is_basis():
     bcc = bcc_lattice()
     assert bcc.is_basis(((1, 1, 1), (1, 1, -1), (2, 0, 0)))
