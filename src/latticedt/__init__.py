@@ -14,7 +14,6 @@ from .chamfer_mask import (
     build_wedges,
     convexity_report,
     farey_split,
-    is_polytope_convex,
     normalized_polytope,
 )
 from .dt_engine import (

@@ -3,8 +3,13 @@
 A chamfer mask is a centrally symmetric finite set of lattice vectors with
 positive weights.  A wedge is a cone spanned by n mask vectors that form a
 lattice basis and whose interior contains no other mask vector; over a
-complete wedge fan the induced path distance has a closed form
-``d(p) = sum_k alpha_k * w_k`` with integer coefficients ``alpha``.
+wedge the fan formula is ``d(p) = sum_k alpha_k * w_k`` with integer
+coefficients ``alpha``, a linear form of p.  The chamfer distance of a
+norm is the max of finitely many integer linear forms divided by one
+common denominator: the wedge forms on a convex fan, the facet forms of
+the hull of {v / w} otherwise (the gauge of that polytope).  The exact
+geometry (containment while refining the fan, the convexity test and the
+closed form) is int64 array arithmetic on these forms.
 """
 
 from __future__ import annotations
@@ -79,19 +84,6 @@ class ChamferMask:
     def dim(self) -> int:
         return self.lattice.dim
 
-    def weight_of(self, v):
-        return dict(zip(self.vectors, self.weights))[tuple(v)]
-
-    def with_weights(self, table) -> "ChamferMask":
-        """Same geometry, new weights, given as {vector: weight} covering
-        at least one representative of each +/- pair."""
-        filled = central_closure(list(table.items()))
-        missing = [v for v in self.vectors if v not in filled]
-        if missing:
-            raise MaskError(f"no weight given for {missing[0]}")
-        return ChamferMask(self.lattice, self.vectors,
-                           tuple(filled[v] for v in self.vectors))
-
 
 @dataclass(frozen=True)
 class Wedge:
@@ -110,36 +102,16 @@ class Wedge:
         """Exact coordinates of ``point`` in the generator basis."""
         return cramer_coefficients(self.vectors, point)
 
-    def contains(self, point) -> bool:
-        """True iff ``point`` lies in the closed cone of the wedge."""
-        return all(c >= 0 for c in self.coefficients(point))
-
     def linear_form(self, spacing=None):
         """The vector l with l . v_k = w_k for every generator (as floats,
         in physical coordinates if ``spacing`` is given)."""
-        n = len(self.vectors)
-        # Solve M^T l = w by Cramer on the transposed system.
-        d0 = int_det(self.vectors)
-        form = []
-        for i in range(n):
-            replaced = [tuple(self.vectors[k][j] for k in range(n))
-                        for j in range(n)]
-            replaced[i] = tuple(self.weights)
-            form.append(Fraction(int_det(replaced), d0)
-                        if all(isinstance(w, int) for w in self.weights)
-                        else _float_det(replaced) / d0)
+        # M^T l = w for M with the generators as columns: l = adj(M)^T w / det.
+        adj = adjugate(self.vectors)
+        form = [sum(row[i] * w for row, w in zip(adj, self.weights)) / self.det
+                for i in range(len(self.vectors))]
         if spacing is not None:
             form = [f / s for f, s in zip(form, spacing)]
         return tuple(float(f) for f in form)
-
-
-def _float_det(columns):
-    n = len(columns)
-    if n == 2:
-        (a, c), (b, d) = columns
-        return a * d - b * c
-    (a, d, g), (b, e, h), (c, f, i) = columns
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 @dataclass(frozen=True)
@@ -162,19 +134,33 @@ class WedgeDecomposition:
         raise MaskError(f"no wedge contains {point}")
 
     @cached_property
+    def wedge_forms(self):
+        """The wedges' linear forms times the covolume, one row per wedge:
+        row . v_k = covolume * w_k on the wedge's generators v_k (every
+        wedge has |det| = covolume).  int64 for integer weights, float
+        otherwise."""
+        adj, det = batch_adjugate([wd.vectors for wd in self.wedges])
+        weights = np.array([wd.weights for wd in self.wedges], dtype=(
+            np.int64 if _integer_weights(self.mask) else np.float64))
+        return (np.einsum("kij,kj->ki", adj, weights)
+                * np.sign(det)[:, None])
+
+    @cached_property
+    def _outside(self):
+        """(lhs, bad): lhs[k, j] = covolume * l_k . v_j for wedge k and mask
+        vector j; bad where the vertex v_j / w_j lies strictly outside the
+        plane of wedge k (relative slack 1e-12 for float weights)."""
+        lhs = self.wedge_forms @ np.array(self.mask.vectors).T
+        rhs = self.mask.lattice.covolume * np.array(self.mask.weights)
+        slack = (1e-12 * np.maximum(np.abs(lhs), rhs)
+                 if lhs.dtype.kind == "f" else 0)
+        return lhs, lhs > rhs + slack
+
+    @cached_property
     def fan_convex(self) -> bool:
         """True iff no mask vertex lies outside a wedge facet plane, i.e.
-        the fan's piecewise-linear formula is the chamfer distance (the
-        'nonconvex' test of convexity_report, in one array pass)."""
-        w = np.array(self.mask.weights)
-        adj, det = batch_adjugate([wd.vectors for wd in self.wedges])
-        form = np.einsum("kij,kj->ki", adj,
-                         np.array([wd.weights for wd in self.wedges]))
-        lhs = form * np.sign(det)[:, None] @ np.array(self.mask.vectors).T
-        rhs = np.abs(det)[:, None] * w
-        slack = (1e-12 * np.maximum(np.abs(lhs), rhs)
-                 if w.dtype.kind == "f" else 0)
-        return bool(np.all(lhs <= rhs + slack))
+        the fan's piecewise-linear formula is the chamfer distance."""
+        return not self._outside[1].any()
 
     @cached_property
     def hull(self) -> tuple:
@@ -190,30 +176,87 @@ class WedgeDecomposition:
 
     @cached_property
     def _module_distance(self):
-        return _ModuleDistance(self.mask, self.hull)
+        return _ModuleDistance(self.mask)
 
-    def closed_form_distance(self, point):
-        """Exact chamfer distance from the origin to ``point``.
+    @cached_property
+    def _gauge(self):
+        """(forms, denom, facets, limit): denom * d(p) = max(forms @ p) on
+        a norm.  On a convex fan the rows are the wedge forms over the
+        covolume (l_W . p <= l_W' . p for p in wedge W' is exactly the
+        convexity test); otherwise they are the hull facet forms over a
+        common denominator, and ``facets`` are the hull facets row by row
+        when some of them are not linear (None on a norm).  |p|_inf <=
+        limit keeps forms @ p inside int64."""
+        if self.fan_convex:
+            forms, denom, facets = (self.wedge_forms,
+                                    self.mask.lattice.covolume, None)
+        else:
+            facets = self.hull
+            denom = math.lcm(*(f.denom for f in facets))
+            forms = np.array([[c * (denom // f.denom) for c in f.form]
+                              for f in facets], dtype=np.int64)
+            if self.is_norm:
+                facets = None
+        l1 = float(np.abs(forms).sum(axis=1).max())
+        return forms, denom, facets, int(2**62 // max(l1, 1.0))
 
-        On a convex fan this is the wedge formula sum_k alpha_k w_k.
-        Otherwise the fan formula is only an upper bound, and the value is
-        read off the convex hull of {v / w} instead (see _ModuleDistance):
-        linearly on facets whose cone is generated by their vectors, and by
-        the module formula over coset representatives on the others.
-        The hull needs integer weights; a nonconvex mask with other
-        weights, or with a hull facet whose vectors do not generate the
-        lattice points of their cone in the sub-module they span, raises
-        MaskError.
+    def closed_form_distance(self, points):
+        """Exact chamfer distance from the origin to lattice points: one
+        point (an int, or a float for float weights) or an (N, n) integer
+        array (int64 or float64 values).
+
+        On a norm this is the max of integer linear forms over one
+        denominator (see _gauge).  On a non-norm the largest facet form
+        picks the hull facet, and on a non-linear facet the module formula
+        adds its excess (see _ModuleDistance).  Raises MaskError on a
+        nonconvex fan with non-integer weights or with a hull facet whose
+        vectors do not generate the lattice points of their cone in the
+        sub-module they span, and for points off the lattice or beyond the
+        int64 range of the forms.
         """
-        if not self.fan_convex:
-            return self._module_distance(point)
-        _, w, co = self.locate(point)
-        total = 0
-        for c, wt in zip(co, w.weights):
-            total += c * wt
-        if isinstance(total, Fraction) and total.denominator == 1:
-            return int(total)
-        return total
+        P = np.asarray(points)
+        n = self.mask.dim
+        if P.dtype.kind != "i" or P.ndim not in (1, 2) or P.shape[-1] != n:
+            raise MaskError(f"closed form needs integer {n}-vectors, one "
+                            "point or an (N, n) array")
+        forms, denom, facets, limit = self._gauge
+        if P.ndim == 2:
+            num = self._numerators(P)
+        else:
+            p = P.tolist()
+            if max(map(abs, p)) > limit or not self.mask.lattice.member(p):
+                raise MaskError(f"closed form needs lattice points within "
+                                f"+-{limit}, not {tuple(p)}")
+            scores = forms @ P
+            k = int(scores.argmax())
+            num = scores[k].item() + self._excess(p, k)
+        return num // denom if forms.dtype.kind == "i" else num / denom
+
+    def _numerators(self, P):
+        """denom * d(p) for each row p of P (see _gauge)."""
+        forms, denom, facets, limit = self._gauge
+        lattice = self.mask.lattice  # adj . p = 0 (mod covolume) on L
+        if P.size and (np.abs(P).max() > limit or (
+                P @ np.array(lattice._adjugate).T % lattice.covolume).any()):
+            raise MaskError(f"closed form needs lattice points within "
+                            f"+-{limit}")
+        scores = P @ forms.T
+        pick = scores.argmax(axis=1)
+        num = np.take_along_axis(scores, pick[:, None], axis=1)[:, 0]
+        if facets is not None:
+            curved = ~np.array([f.linear for f in facets])
+            for i in np.flatnonzero(curved[pick]).tolist():
+                num[i] += self._excess(P[i].tolist(), pick[i])
+        return num
+
+    def _excess(self, p, k):
+        """What the module formula adds to denom * l . p when row k of the
+        gauge is the largest at the lattice point p (see _ModuleDistance)."""
+        _, denom, facets, _ = self._gauge
+        if facets is None or facets[k].linear or not any(p):
+            return 0
+        f = facets[k]
+        return self._module_distance.excess(tuple(p), f) * (denom // f.denom)
 
 
 @dataclass(frozen=True)
@@ -258,62 +301,73 @@ def hull_facets(mask: ChamferMask) -> tuple:
     n = mask.dim
     V = np.array(mask.vectors, dtype=np.int64)
     w = np.array(mask.weights, dtype=np.int64)
+    # The vertices v / w farthest out reject most subsets: test them first.
+    probe = np.argsort(-(V * V).sum(axis=1) / w / w, kind="stable")[:4 * n]
     combos = itertools.combinations(range(len(V)), n)
     facets = {}
     while True:
-        subsets = np.array(list(itertools.islice(combos, 8192)))
+        subsets = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, 8192)),
+            dtype=np.intp).reshape(-1, n)
         if len(subsets) == 0:
             break
         adj, det = batch_adjugate(V[subsets])
         keep = det != 0
         subsets, adj, det = subsets[keep], adj[keep], det[keep]
         num = np.einsum("tij,tj->ti", adj, w[subsets]) * np.sign(det)[:, None]
+        det = np.abs(det)
+        ok = np.all(num @ V[probe].T <= det[:, None] * w[probe], axis=1)
+        num, det = num[ok], det[ok]
         lhs = num @ V.T
-        rhs = np.abs(det)[:, None] * w[None, :]
-        for t in np.flatnonzero(np.all(lhs <= rhs, axis=1)):
+        rhs = det[:, None] * w[None, :]
+        for t in np.flatnonzero(np.all(lhs <= rhs, axis=1)).tolist():
             tight = tuple(np.flatnonzero(lhs[t] == rhs[t]).tolist())
             if tight in facets:
                 continue
-            g = math.gcd(*(int(x) for x in num[t]), int(abs(det[t])))
-            form = tuple(int(x) // g for x in num[t])
+            g = math.gcd(*num[t].tolist(), int(det[t]))
+            form = tuple(x // g for x in num[t].tolist())
             vecs = tuple(mask.vectors[i] for i in tight)
-            facets[tight] = HullFacet(form, int(abs(det[t])) // g, vecs,
+            facets[tight] = HullFacet(form, int(det[t]) // g, vecs,
                                       cone_is_linear(mask.lattice, vecs,
                                                      form))
     return tuple(facets.values())
 
 
+def _reachable(start, gens, step):
+    """Everything reached from ``start`` by repeated ``step(x, g)`` over
+    ``gens``; ``step`` returns None where a branch stops."""
+    found, frontier = {start}, [start]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = step(x, g)
+            if y is not None and y not in found:
+                found.add(y)
+                frontier.append(y)
+    return found
+
+
 def _parallelepiped_points(lattice: Lattice, basis):
     """Lattice points sum t_k b_k with 0 <= t_k < 1 over independent
-    ``basis`` vectors; there are |det(basis)| / covolume of them."""
-    lo = [sum(min(0, b[i]) for b in basis) for i in range(len(basis))]
-    hi = [sum(max(0, b[i]) for b in basis) for i in range(len(basis))]
-    dims = tuple(h - l + 1 for l, h in zip(lo, hi))
-    pts = np.indices(dims).reshape(len(dims), -1).T + np.array(lo)
-    det = int_det(basis)
-    # adjugate @ p = det * (coordinates of p in the basis)
-    co = pts @ np.array(adjugate(basis)).T * np.sign(det)
-    keep = (np.all((co >= 0) & (co < abs(det)), axis=1)
-            & lattice.member_grid(lo, dims).ravel())
-    return [tuple(p) for p in pts[keep].tolist()]
+    ``basis`` vectors; there are |det(basis)| / covolume of them.  They
+    represent the group L / (basis Z^n), so they are reached from 0 by
+    adding lattice generators and reducing into the parallelepiped."""
+    adj, det = adjugate(basis), int_det(basis)  # adj . x = det * coords
+
+    def step(x, g):
+        y = [a + b for a, b in zip(x, g)]
+        floor = [_dot(row, y) // det for row in adj]
+        return tuple(c - _dot(floor, col) for c, col in zip(y, zip(*basis)))
+    return _reachable((0,) * len(basis), lattice.generators, step)
 
 
 def _monoid_ball(generators, form, bound):
     """Nonnegative integer combinations s of ``generators`` with
     form . s <= bound (``form`` positive on every generator)."""
-    zero = (0,) * len(form)
-    reach = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in generators:
-                t = tuple(a + b for a, b in zip(s, g))
-                if t not in reach and _dot(form, t) <= bound:
-                    reach.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return reach
+    def step(s, g):
+        t = tuple(a + b for a, b in zip(s, g))
+        return t if _dot(form, t) <= bound else None
+    return _reachable((0,) * len(form), generators, step)
 
 
 def cone_is_linear(lattice: Lattice, vectors, form) -> bool:
@@ -362,27 +416,21 @@ class _ModuleDistance:
     needed: stop once every r0 is covered and the excess passes U.
     """
 
-    def __init__(self, mask: ChamferMask, facets):
+    def __init__(self, mask: ChamferMask):
         self.mask = mask
-        self.facets = facets
         self.tables = {}
 
-    def __call__(self, point):
-        p = tuple(int(c) for c in point)
-        if not any(p):
-            return 0
-        f = max(self.facets, key=lambda f: Fraction(_dot(f.form, p), f.denom))
-        excess = 0
-        if not f.linear:
-            if f not in self.tables:
-                self.tables[f] = self._coset_table(f)
-            in_module_cone, table = self.tables[f]
-            excess = next((e for e, r in table if in_module_cone(_sub(p, r))),
-                          None)
-            if excess is None:
-                raise MaskError(f"no coset representative covers {p}")
-        total = Fraction(_dot(f.form, p) + excess, f.denom)
-        return int(total) if total.denominator == 1 else total
+    def excess(self, p, f):
+        """min { E(r) : p - r in cone n M } for the non-linear facet ``f``
+        whose cone holds the lattice point ``p``, in units of 1 / f.denom."""
+        if f not in self.tables:
+            self.tables[f] = self._coset_table(f)
+        in_module_cone, table = self.tables[f]
+        excess = next((e for e, r in table if in_module_cone(_sub(p, r))),
+                      None)
+        if excess is None:
+            raise MaskError(f"no coset representative covers {p}")
+        return excess
 
     def _coset_table(self, f):
         """(membership test for cone n M, ((E, r), ...) by ascending E),
@@ -399,16 +447,8 @@ class _ModuleDistance:
             return tuple(_dot(row, x) % det0 for row in adj0)
 
         # M / M0 is the subgroup generated by the facet vectors' classes.
-        classes = {residue(zero)}
-        frontier = list(classes)
-        while frontier:
-            c = frontier.pop()
-            for v in f.vectors:
-                d = tuple((a + b) % det0
-                          for a, b in zip(c, residue(v)))
-                if d not in classes:
-                    classes.add(d)
-                    frontier.append(d)
+        classes = _reachable(residue(zero), f.vectors, lambda c, v: tuple(
+            (a + b) % det0 for a, b in zip(c, residue(v))))
 
         def in_module_cone(x):
             return residue(x) in classes and any(
@@ -505,7 +545,8 @@ def _build_wedges_nd(mask):
     if seed is None:
         raise MaskError("no subset of mask vectors forms a lattice basis")
 
-    dirs = set(mask.vectors)
+    V = np.array(mask.vectors, dtype=np.int64)
+    norm2 = (V * V).sum(axis=1).tolist()
     queue = [tuple(tuple(s * c for c in v) for s, v in zip(signs, seed))
              for signs in itertools.product((1, -1), repeat=n)]
     done = set()
@@ -517,34 +558,30 @@ def _build_wedges_nd(mask):
         if key in done:
             continue
         done.add(key)
-        contained = []
-        for u in dirs:
-            if u in w:
-                continue
-            co = cramer_coefficients(w, u)
-            if all(c >= 0 for c in co) and sum(1 for c in co if c > 0) >= 2:
-                contained.append((sum(co), sum(c * c for c in u), u, co))
-        if not contained:
+        # Coordinates of every mask vector in the basis w, times |det(w)|
+        # (= covolume: unit-coefficient splits keep the determinant).
+        co = V @ np.array(adjugate(w)).T * np.sign(int_det(w))
+        inside = np.flatnonzero((co >= 0).all(axis=1)
+                                & ((co > 0).sum(axis=1) >= 2))
+        if not len(inside):
             final.append(w)
             continue
-        contained.sort()
-        picked = None
-        for _, _, u, co in contained:
-            if all(c in (0, 1) for c in co):
-                picked = (u, co)
-                break
+        total = co.sum(axis=1).tolist()
+        contained = sorted(inside.tolist(), key=lambda j: (
+            total[j], norm2[j], mask.vectors[j]))
+        unit = ((co == 0) | (co == covol)).all(axis=1)
+        picked = next((j for j in contained if unit[j]), None)
         if picked is None:
-            u = contained[0][2]
+            u = mask.vectors[contained[0]]
             raise MaskError(
                 f"mask vector {u} cannot split wedge {w} into lattice bases")
-        u, co = picked
-        splits.append((u, tuple((w[k], int(co[k]))
-                                for k in range(n) if co[k] > 0)))
-        for k in range(n):
-            if co[k] > 0:
-                child = list(w)
-                child[k] = u
-                queue.append(tuple(child))
+        u = mask.vectors[picked]
+        parents = [k for k in range(n) if co[picked, k] > 0]
+        splits.append((u, tuple(sorted((w[k], 1) for k in parents))))
+        for k in parents:
+            child = list(w)
+            child[k] = u
+            queue.append(tuple(child))
 
     wedges = sorted(set(tuple(sorted(w)) for w in final))
     out = []
@@ -553,15 +590,8 @@ def _build_wedges_nd(mask):
         if abs(d) != covol:  # cannot happen with unit-coefficient splits
             raise MaskError(f"wedge {w} is not a lattice basis")
         out.append(Wedge(w, tuple(weight[v] for v in w)))
-    # Deduplicate split relations on (child, parent multiset).
-    seen = set()
-    uniq = []
-    for child, parents in splits:
-        key = (child, tuple(sorted(parents)))
-        if key not in seen:
-            seen.add(key)
-            uniq.append((child, tuple(sorted(parents))))
-    return WedgeDecomposition(mask, tuple(out), tuple(uniq))
+    # Split relations, deduplicated on (child, parent multiset).
+    return WedgeDecomposition(mask, tuple(out), tuple(dict.fromkeys(splits)))
 
 
 def farey_split(wedge: Wedge, i: int, j: int, weight=None):
@@ -589,32 +619,25 @@ def convexity_report(decomp: WedgeDecomposition, check_redundancy=True):
     inside every wedge facet plane.
 
     Returns (verdict, offenders).  Verdict 'nonconvex' means some vertex
-    lies strictly outside a facet plane (the closed-form distance is then
-    not the true path distance); offenders are (vector, wedge_index, lhs,
-    rhs) tuples with lhs = l_W . v against rhs = w_v, exact rationals for
-    int/Fraction weights.  Verdict 'degenerate' means no violation but
-    some mask vector is redundant: the other vectors already realize its
-    weight (offender wedge_index is None, lhs is that path cost).
-    Otherwise 'strict'.  Coplanarity of adjacent facets is not flagged; it
-    does not affect distances.
+    lies strictly outside a facet plane (the fan formula is then not the
+    true path distance); offenders are (vector, wedge_index, lhs, rhs)
+    tuples with lhs = l_W . v against rhs = w_v, lhs an exact rational for
+    integer weights, ordered by wedge and then by mask vector.  They come
+    from the same array of wedge forms as WedgeDecomposition.fan_convex.
+    Verdict 'degenerate' means no violation but some mask vector is
+    redundant: the other vectors already realize its weight (offender
+    wedge_index is None, lhs is that path cost).  Otherwise 'strict'.
+    Coplanarity of adjacent facets is not flagged; it does not affect
+    distances.
     """
     mask = decomp.mask
-    exact = all(isinstance(w, (int, Fraction)) for w in mask.weights)
-    offenders = []
-    for idx, wd in enumerate(decomp.wedges):
-        gens = set(wd.vectors)
-        for v, wv in zip(mask.vectors, mask.weights):
-            if v in gens:
-                continue
-            co = cramer_coefficients(wd.vectors, v)
-            lhs = sum(c * w for c, w in zip(co, wd.weights))
-            if exact:
-                if lhs > wv:
-                    offenders.append((v, idx, lhs, wv))
-            else:
-                lhs = float(lhs)
-                if lhs > wv + 1e-12 * max(abs(lhs), wv):
-                    offenders.append((v, idx, lhs, wv))
+    covol = mask.lattice.covolume
+    exact = _integer_weights(mask)
+    lhs, bad = decomp._outside
+    offenders = [(mask.vectors[j], k,
+                  Fraction(int(lhs[k, j]), covol) if exact
+                  else float(lhs[k, j]) / covol, mask.weights[j])
+                 for k, j in np.argwhere(bad).tolist()]
     if offenders:
         return "nonconvex", offenders
     if check_redundancy:
@@ -648,16 +671,6 @@ def _redundant_vectors(mask: ChamferMask):
             out.append((v, None, cost, wv))
             out.append((neg, None, cost, wv))
     return out
-
-
-def is_polytope_convex(decomp: WedgeDecomposition):
-    """Strict convexity (and non-redundancy) of the normalized polytope.
-
-    Returns (ok, offenders); redundant vertices are offenders too, since
-    they signal an authoring slip even though distances stay correct.
-    """
-    verdict, offenders = convexity_report(decomp)
-    return verdict == "strict", offenders
 
 
 def normalized_polytope(decomp: WedgeDecomposition):

@@ -246,11 +246,10 @@ def validate_image(mask: ChamferMask, image: GridImage,
         ext_origin = tuple(o - m for o, m in zip(image.origin, margin))
         ext_dims = tuple(d + 2 * m for d, m in zip(dims, margin))
         predicted = image.lattice.member_grid(ext_origin, ext_dims)
-        axes = [np.arange(o, o + d, dtype=np.int64)
-                for o, d in zip(ext_origin, ext_dims)]
-        grids = np.meshgrid(*axes, indexing="ij")
+        axes = np.ogrid[tuple(slice(o, o + d)
+                              for o, d in zip(ext_origin, ext_dims))]
         for a, lo, hi in image.carve:
-            dot = sum(int(c) * g for c, g in zip(a, grids))
+            dot = sum(int(c) * x for c, x in zip(a, axes))
             predicted &= (dot >= lo) & (dot <= hi)
         sup_ext = np.zeros(ext_dims, dtype=bool)
         sup_ext[tuple(slice(m, m + d) for m, d in zip(margin, dims))] = sup

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 class LatticeError(ValueError):
@@ -65,6 +67,12 @@ def adjugate(columns):
     Returned as rows, so that ``adjugate(M) @ p = det(M) * M^-1 @ p``.
     """
     n = len(columns)
+    if n == 3:  # rows b x c, c x a, a x b for columns a, b, c
+        return tuple(
+            (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0])
+            for u, v in ((columns[1], columns[2]), (columns[2], columns[0]),
+                         (columns[0], columns[1])))
     rows = []
     for i in range(n):
         row = []
@@ -96,7 +104,9 @@ def batch_adjugate(rows):
                 np.stack([-a[:, 1], a[:, 0]], axis=1)]
     elif A.shape[1:] == (3, 3):
         a, b, c = A[:, 0], A[:, 1], A[:, 2]
-        cols = [np.cross(b, c), np.cross(c, a), np.cross(a, b)]
+        i, j = [1, 2, 0], [2, 0, 1]  # x_i y_j - x_j y_i, without np.cross
+        cols = [u[:, i] * v[:, j] - u[:, j] * v[:, i]
+                for u, v in ((b, c), (c, a), (a, b))]
     else:
         raise LatticeError("batch_adjugate supports 2x2 and 3x3 matrices")
     det = np.einsum("ti,ti->t", A[:, 0], cols[0])
@@ -128,21 +138,20 @@ class Lattice:
     def dim(self) -> int:
         return len(self.generators[0])
 
-    @property
+    @cached_property
     def covolume(self) -> int:
         """Index of the lattice in the ambient integer grid (|det| of basis)."""
         return abs(int_det(self.generators))
 
-    @property
+    @cached_property
     def _adjugate(self):
         return adjugate(self.generators)
 
     def member(self, point) -> bool:
         """Exact membership test via divisibility of Cramer numerators."""
-        d0 = int_det(self.generators)
-        adj = self._adjugate
-        for row in adj:
-            if sum(a * p for a, p in zip(row, point)) % d0 != 0:
+        m = self.covolume
+        for row in self._adjugate:
+            if sum(map(operator.mul, row, point)) % m:
                 return False
         return True
 
