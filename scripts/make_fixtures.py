@@ -12,7 +12,11 @@ All four files are derived from the two-vector diagonal mask
 - wedge_preserving_map.ldt: exact map of the carved parallelogram
   support 5 <= x+y <= 12, 0 <= y <= 5 with the same two seeds.
 
-Maps are produced by the Dijkstra oracle, which is exact on every image.
+Maps are produced by ``dijkstra_oracle``, the label-setting bucket
+wavefront, which is exact on every image; the two-scan is exact only on
+images it certifies.  invalid_image.ldt is the first random image on
+which the forced two-scan and ``dijkstra_oracle`` differ.  Run from the
+repository root: ``python scripts/make_fixtures.py``.
 """
 
 import sys

@@ -37,6 +37,10 @@ class CliError(Exception):
     pass
 
 
+class UsageError(CliError):
+    """An option value the command cannot honour (exit code 2)."""
+
+
 def _spacing(args, dim=None):
     if getattr(args, "spacing", None):
         return tuple(float(t) for t in args.spacing.split(","))
@@ -194,9 +198,16 @@ def cmd_ball(args, out):
     return 0
 
 
-def _verify_case(lattice_name, mask, size, seed):
+def _mask_depth(mask):
+    return max(abs(c) for v in mask.vectors for c in v)
+
+
+def _verify_case(mask, size, seed):
+    """Random image drawn from ``seed`` through the two-scan and both
+    oracles.  None when the three maps agree, else the first differing
+    point as (coordinate, two-scan, Dijkstra, iterative)."""
     lattice = mask.lattice
-    depth = max(abs(c) for v in mask.vectors for c in v)
+    depth = _mask_depth(mask)
     rng = np.random.default_rng(seed)
     n = lattice.dim
     hi = min(size, 32) + 1
@@ -204,10 +215,14 @@ def _verify_case(lattice_name, mask, size, seed):
     image = image_io.random_image(lattice, dims,
                                   density=float(rng.uniform(0.3, 0.9)),
                                   seed=seed, border_depth=depth)
-    a = chamfer_two_scan(image, mask).values
-    b = dijkstra_oracle(image, mask).values
-    c = parallel_iterative_oracle(image, mask).values
-    return bool(np.array_equal(a, b) and np.array_equal(a, c))
+    maps = [f(image, mask).values for f in
+            (chamfer_two_scan, dijkstra_oracle, parallel_iterative_oracle)]
+    differ = (maps[0] != maps[1]) | (maps[0] != maps[2])
+    if not differ.any():
+        return None
+    idx = np.unravel_index(int(np.argmax(differ)), differ.shape)
+    coord = tuple(int(o + i) for o, i in zip(image.origin, idx))
+    return (coord, *(int(m[idx]) for m in maps))
 
 
 _VERIFY_MASKS = {
@@ -219,20 +234,32 @@ _VERIFY_MASKS = {
 
 
 def cmd_verify(args, out):
-    names = ([args.lattice.upper()] if args.lattice and
-             args.lattice.lower() != "all" else list(_VERIFY_MASKS))
+    if args.count < 1:
+        raise UsageError(f"--count must be 1 or more, got {args.count}")
+    names = (list(_VERIFY_MASKS) if args.lattice == "ALL"
+             else [args.lattice])
+    masks = {name: preset_mask(*_VERIFY_MASKS[name]) for name in names}
+    # Image sides are drawn from [2 * depth + 4, size]: a background
+    # border of the mask depth on each side around a foreground core.
+    least = max(2 * _mask_depth(m) + 4 for m in masks.values())
+    if args.size < least:
+        raise UsageError(f"--size must be {least} or more for "
+                         f"{', '.join(names)}, got {args.size}")
     failures = 0
-    total = 0
-    for name in names:
-        preset, weights = _VERIFY_MASKS[name]
-        mask = preset_mask(preset, weights)
-        results = [_verify_case(name, mask, args.size, args.seed + i)
-                   for i in range(args.count)]
-        ok = sum(results)
-        total += len(results)
-        failures += len(results) - ok
-        print(f"{name}: {ok}/{len(results)} images match across "
-              "two-scan / Dijkstra / iterative", file=out)
+    for name, mask in masks.items():
+        mismatches = []
+        for seed in range(args.seed, args.seed + args.count):
+            found = _verify_case(mask, args.size, seed)
+            if found is not None:
+                mismatches.append((seed, found))
+        failures += len(mismatches)
+        print(f"{name}: {args.count - len(mismatches)}/{args.count} images "
+              "match across two-scan / Dijkstra / iterative", file=out)
+        if mismatches:
+            seed, (coord, a, b, c) = mismatches[0]
+            print(f"{name}: first mismatch at seed {seed}, point {coord}: "
+                  f"two-scan {a}, Dijkstra {b}, iterative {c}", file=out)
+    total = len(masks) * args.count
     print(f"total: {total - failures}/{total} passed", file=out)
     return 0 if failures == 0 else 1
 
@@ -297,7 +324,9 @@ def build_parser():
     ver = sub.add_parser("verify",
                          help="cross-check two-scan against both oracles "
                               "on random images")
-    ver.add_argument("--lattice", default="all")
+    ver.add_argument("--lattice", default="ALL", type=str.upper,
+                     choices=(*_VERIFY_MASKS, "ALL"),
+                     help="Z2, Z3, BCC, FCC or all (any case)")
     ver.add_argument("--count", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--size", type=int, default=32,
@@ -311,6 +340,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except (CliError, EngineError, ValueError, KeyError,
             FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,7 +9,6 @@ points inside the image support.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -365,37 +364,58 @@ def chamfer_two_scan(image: GridImage, mask: ChamferMask,
 
 
 def dijkstra_oracle(image: GridImage, mask: ChamferMask) -> DistanceMap:
-    """Exact in-image path distance by priority-queue propagation from all
-    background points.  Works on any image; reference semantics.
+    """Exact in-image path distance, label-setting from all background
+    points.  Works on any image and in no scan order; reference semantics.
 
-    The support sits in a margin of non-support slots as wide as the mask,
-    so a neighbour's flat index needs no bounds check."""
+    Weights are positive integers, so this is Dial's bucket queue: bucket
+    k holds the points last improved to distance k.  The smallest
+    non-empty bucket is settled at once, and every mask vector is relaxed
+    from it in one stacked (vectors, points) gather, stepping from u to
+    u + v; each improved target goes into bucket k + w.  Empty distances
+    are skipped, so the cost is one round of numpy calls per distinct
+    distance value plus O(|mask|) work per support point, whatever the
+    size of the weights.
+
+    The support sits in a margin as wide as the mask, so a neighbour's
+    flat index needs no bounds check; non-support slots hold -1 while the
+    buckets run, which no candidate distance improves on."""
     _require_integer_weights(mask)
-    pad, pdims, inner, inf, _dist, strides = _padded_setup(image, mask)
+    pad, pdims, inner, inf, dist, strides = _padded_setup(image, mask)
     sup = np.zeros(pdims, dtype=bool)
     sup[inner] = image.support
-    flat_sup = sup.ravel().tolist()
-    bg = np.zeros(pdims, dtype=bool)
-    bg[inner] = image.values == 0
-    sources = np.flatnonzero(bg.ravel()).tolist()
-    d = [inf] * len(flat_sup)
-    for i in sources:
-        d[i] = 0
-    heap = [(0, i) for i in sources]
-    heapq.heapify(heap)
-    offs = [(int(np.dot(strides, v)), int(w))
-            for v, w in zip(mask.vectors, mask.weights)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > d[u]:
+    dist[~sup] = -1
+    d = dist.ravel()
+    # Vectors sorted by weight, so that each weight is one run of rows.
+    weights = np.array(mask.weights, dtype=np.int64)
+    order = np.argsort(weights, kind="stable")
+    offs = (np.array(mask.vectors, dtype=np.int64) @ strides)[order, None]
+    wts = weights[order, None]
+    runs = [(int(wts[s, 0]), s, e) for s, e in _level_slices(wts[:, 0])]
+    # slot[i] keeps one position of i in the candidate list, so duplicates
+    # drop out without a sort.
+    slot = np.empty(d.size, dtype=np.intp)
+    buckets = {0: [np.flatnonzero(d == 0)]}
+    while buckets:
+        k = min(buckets)
+        cand = np.concatenate(buckets.pop(k))
+        # Entries improved again after their push are stale.  d only falls
+        # and k only grows, so d == k also means not settled before.
+        cand = cand[d[cand] == k]
+        slot[cand] = np.arange(cand.size)
+        settled = cand[slot[cand] == np.arange(cand.size)]
+        targets = settled + offs
+        better = k + wts < d[targets]
+        if not better.any():
             continue
-        for off, w in offs:
-            j = u + off
-            if flat_sup[j] and du + w < d[j]:
-                d[j] = du + w
-                heapq.heappush(heap, (du + w, j))
-    dist = np.array(d, dtype=np.int64).reshape(pdims)[inner]
-    return DistanceMap(image.lattice, image.origin, dist, inf)
+        # Heaviest weight first, so a target improved by several weights
+        # ends on the lightest; the heavier pushes go stale.
+        for w, s, e in reversed(runs):
+            improved = targets[s:e][better[s:e]]
+            if improved.size:
+                d[improved] = k + w
+                buckets.setdefault(k + w, []).append(improved)
+    out = np.where(sup[inner], dist[inner], inf)
+    return DistanceMap(image.lattice, image.origin, out, inf)
 
 
 def parallel_iterative_oracle(image: GridImage, mask: ChamferMask,

@@ -6,13 +6,7 @@ order; the full mask is the union of their signed-permutation orbits.
 
 from __future__ import annotations
 
-from .lattice import (
-    bcc_lattice,
-    fcc_lattice,
-    square_lattice,
-    cubic_lattice,
-    signed_permutation_orbit,
-)
+from .lattice import lattice_by_name, signed_permutation_orbit
 from .weight_opt import MaskGeometry
 
 _PRESET_REPS = {
@@ -32,13 +26,6 @@ _PRESET_REPS = {
     "fcc4": ("FCC", ((1, 1, 0), (2, 0, 0), (2, 1, 1), (2, 2, 2))),
 }
 
-_LATTICES = {
-    "Z2": square_lattice,
-    "Z3": cubic_lattice,
-    "BCC": bcc_lattice,
-    "FCC": fcc_lattice,
-}
-
 PRESET_NAMES = tuple(sorted(_PRESET_REPS))
 
 
@@ -48,8 +35,7 @@ def preset_geometry(name: str, spacing=None) -> MaskGeometry:
         raise KeyError(f"unknown preset {name!r}; expected one of "
                        f"{', '.join(PRESET_NAMES)}")
     lat_name, reps = _PRESET_REPS[key]
-    factory = _LATTICES[lat_name]
-    lattice = factory(spacing) if spacing is not None else factory()
+    lattice = lattice_by_name(lat_name, spacing)
     classes = tuple(tuple(signed_permutation_orbit(r)) for r in reps)
     return MaskGeometry(lattice, classes)
 

@@ -132,6 +132,48 @@ def test_verify_small(capsys):
     assert "BCC: 3/3" in out
 
 
+def test_verify_names_first_mismatch(capsys, monkeypatch):
+    real = cli.chamfer_two_scan
+    seen = []
+
+    def perturbed(image, mask):
+        dmap = real(image, mask)
+        idx = np.unravel_index(int(np.argmax(image.values == 1)),
+                               image.dims)
+        seen.append((tuple(int(o + i) for o, i in zip(image.origin, idx)),
+                     int(dmap.values[idx])))
+        dmap.values[idx] += 1
+        return dmap
+
+    monkeypatch.setattr(cli, "chamfer_two_scan", perturbed)
+    code, out, _ = run(capsys, "verify", "--lattice", "z2", "--count", "2",
+                       "--size", "12", "--seed", "5")
+    assert code == 1
+    assert "Z2: 0/2" in out
+    coord, value = seen[0]
+    assert (f"Z2: first mismatch at seed 5, point {coord}: two-scan "
+            f"{value + 1}, Dijkstra {value}, iterative {value}") in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--count", "0"], "--count must be 1 or more"),
+    (["--lattice", "Z3", "--size", "5"], "--size must be 6 or more"),
+    (["--lattice", "fcc", "--size", "7"], "--size must be 8 or more"),
+])
+def test_verify_refuses_unusable_values(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert message in err and "total:" not in out
+
+
+def test_verify_refuses_unknown_lattice(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--lattice", "Z9"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'Z9'" in err and "'BCC'" in err
+
+
 def test_missing_file_is_reported(capsys):
     code, _, err = run(capsys, "dt", "--in", "/nonexistent.ldt",
                        "--vectors", "bcc2", "--weights", "13,15")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import orbit_mask
+from conftest import fixture_path, orbit_mask
 from latticedt.chamfer_mask import ChamferMask, build_wedges
 from latticedt.dt_engine import (
     EngineError,
@@ -18,7 +18,7 @@ from latticedt.dt_engine import (
     split_mask,
     validate_image,
 )
-from latticedt.image_io import random_image, single_point_image
+from latticedt.image_io import read_image, random_image, single_point_image
 from latticedt.lattice import (
     bcc_lattice,
     cubic_lattice,
@@ -152,6 +152,66 @@ def test_oracle_equivalence_seeded(name, w):
         c = parallel_iterative_oracle(img, mask).values
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
+
+
+def _carved_z3(_diag):
+    mask = preset_mask("z3-3", (3, 4, 5))
+    rng = np.random.default_rng(7)
+    img = GridImage.from_foreground(cubic_lattice(), (-3, 0, 2),
+                                    rng.random((11, 9, 12)) < 0.8)
+    return img.carved([((1, -1, 1), -4, 9), ((0, 1, 1), 4, 16)]), mask
+
+
+def _no_background(_diag):
+    img = GridImage.from_foreground(bcc_lattice(), (0, 0, 0),
+                                    np.ones((9, 8, 7), bool))
+    return img, preset_mask("bcc2", (13, 15))
+
+
+def _huge_weights(_diag):
+    # Distances step by 10^9 or more: a bucket loop that walked every
+    # integer up to the largest distance would not finish.
+    img = random_image(square_lattice(), (30, 30), 0.7, seed=11)
+    return img, preset_mask("z2-2", (10**9, 1414213562))
+
+
+ORACLE_ONLY_CASES = {
+    # INVALID for the diagonal mask: the forced two-scan is wrong here.
+    "invalid-fixture": lambda diag: (
+        read_image(fixture_path("invalid_image.ldt")), diag),
+    "carved": _carved_z3,
+    "no-background": _no_background,
+    "huge-weights": _huge_weights,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_ONLY_CASES))
+def test_oracle_equivalence_beyond_two_scan(case, diagonal_mask):
+    # Cases outside the two-scan comparison: supports it does not
+    # certify, no background at all, and weights far above the number of
+    # distinct distances.  The two oracles must agree point for point.
+    img, mask = ORACLE_ONLY_CASES[case](diagonal_mask)
+    exact = dijkstra_oracle(img, mask)
+    assert np.array_equal(exact.values,
+                          parallel_iterative_oracle(img, mask).values)
+    finite = exact.values < exact.infinity
+    if case == "no-background":
+        assert not finite.any()
+    else:
+        assert np.any(finite & (img.values == 1))
+
+
+def test_dijkstra_steps_from_u_to_u_plus_v():
+    # Built directly, a mask need not be symmetric; the oracle's relaxation
+    # then shows its direction: d(u + v) <= d(u) + w.
+    mask = ChamferMask(square_lattice(), ((1, 0),), (2,))
+    fg = np.ones((5, 3), bool)
+    fg[1, 1] = False
+    dmap = dijkstra_oracle(GridImage.from_foreground(square_lattice(),
+                                                     (0, 0), fg), mask)
+    reached = dmap.values < dmap.infinity
+    assert np.array_equal(np.flatnonzero(reached.ravel()), [4, 7, 10, 13])
+    assert dmap.values[1:, 1].tolist() == [0, 2, 4, 6]
 
 
 def test_unreachable_points_stay_infinite(z2_mask):
