@@ -13,8 +13,6 @@ from .chamfer_mask import (
     WedgeDecomposition,
     build_wedges,
     convexity_report,
-    farey_split,
-    normalized_polytope,
 )
 from .dt_engine import (
     DistanceMap,
@@ -23,12 +21,10 @@ from .dt_engine import (
     ScanPlan,
     Verdict,
     chamfer_two_scan,
-    choose_hyperplane,
     dijkstra_oracle,
     generate_ball,
     make_scan_plan,
     parallel_iterative_oracle,
-    split_mask,
     validate_image,
 )
 from .lattice import (
@@ -48,13 +44,10 @@ from .weight_opt import (
     MaskGeometry,
     RealWeightOptimum,
     WeightRow,
-    euclidean_norm,
     max_relative_error,
-    optimal_scale_factor,
     optimize_real_weights,
     pareto_front,
     search_integer_weights,
-    vertex_ratio,
     wedge_ratio_max,
 )
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .lattice import (
     Lattice,
-    LatticeError,
     adjugate,
     batch_adjugate,
     cramer_coefficients,
@@ -60,12 +59,21 @@ class ChamferMask:
     """A weighted, centrally symmetric mask over a lattice.
 
     ``vectors``/``weights`` are parallel tuples covering the full symmetric
-    closure.  Weights may be ints (exact arithmetic throughout) or floats.
+    closure: a mask whose vectors are not closed under v -> -v with equal
+    weights raises MaskError, since the engines step along +v in some
+    places and -v in others.  Weights may be ints (exact arithmetic
+    throughout) or floats.
     """
 
     lattice: Lattice
     vectors: tuple
     weights: tuple
+
+    def __post_init__(self):
+        table = dict(zip(self.vectors, self.weights))
+        if any(table.get(tuple(-c for c in v)) != w for v, w in table.items()):
+            raise MaskError("mask vectors must be closed under v -> -v with "
+                            "equal weights")
 
     @classmethod
     def build(cls, lattice, entries) -> "ChamferMask":
@@ -170,9 +178,11 @@ class WedgeDecomposition:
     @cached_property
     def is_norm(self) -> bool:
         """True iff the induced distance is a norm: integer weights and
-        every hull facet linear, so the distance is the hull's gauge."""
-        return (_integer_weights(self.mask)
-                and all(f.linear for f in self.hull))
+        every hull facet linear, so the distance is the hull's gauge.  A
+        convex fan needs no hull: its hull facets are unions of its
+        unimodular wedges, so they are all linear."""
+        return _integer_weights(self.mask) and (
+            self.fan_convex or all(f.linear for f in self.hull))
 
     @cached_property
     def _module_distance(self):
@@ -594,29 +604,9 @@ def _build_wedges_nd(mask):
     return WedgeDecomposition(mask, tuple(out), tuple(dict.fromkeys(splits)))
 
 
-def farey_split(wedge: Wedge, i: int, j: int, weight=None):
-    """Split a wedge along the mediant v_i + v_j of two of its generators.
-
-    Returns the two child wedges; ``weight`` (default w_i + w_j) is
-    attached to the new vector.
-    """
-    if i == j:
-        raise MaskError("mediant needs two distinct generators")
-    mediant = tuple(a + b for a, b in zip(wedge.vectors[i], wedge.vectors[j]))
-    w = weight if weight is not None else wedge.weights[i] + wedge.weights[j]
-    children = []
-    for k in (i, j):
-        vecs = list(wedge.vectors)
-        wts = list(wedge.weights)
-        vecs[k] = mediant
-        wts[k] = w
-        children.append(Wedge(tuple(vecs), tuple(wts)))
-    return tuple(children)
-
-
-def convexity_report(decomp: WedgeDecomposition, check_redundancy=True):
+def convexity_report(decomp: WedgeDecomposition):
     """Check that the normalized polytope {v/w} has all mask vertices on or
-    inside every wedge facet plane.
+    inside every wedge facet plane, and that no mask vector is redundant.
 
     Returns (verdict, offenders).  Verdict 'nonconvex' means some vertex
     lies strictly outside a facet plane (the fan formula is then not the
@@ -640,10 +630,9 @@ def convexity_report(decomp: WedgeDecomposition, check_redundancy=True):
                  for k, j in np.argwhere(bad).tolist()]
     if offenders:
         return "nonconvex", offenders
-    if check_redundancy:
-        redundant = _redundant_vectors(mask)
-        if redundant:
-            return "degenerate", redundant
+    redundant = _redundant_vectors(mask)
+    if redundant:
+        return "degenerate", redundant
     return "strict", []
 
 
@@ -670,16 +659,4 @@ def _redundant_vectors(mask: ChamferMask):
         if cost <= wv:
             out.append((v, None, cost, wv))
             out.append((neg, None, cost, wv))
-    return out
-
-
-def normalized_polytope(decomp: WedgeDecomposition):
-    """Vertices v/w of the mask's normalized polytope, as Fraction tuples
-    (or float tuples for float weights), keyed by mask vector."""
-    out = {}
-    for v, w in zip(decomp.mask.vectors, decomp.mask.weights):
-        if isinstance(w, (int, Fraction)):
-            out[v] = tuple(Fraction(c, 1) / w for c in v)
-        else:
-            out[v] = tuple(c / w for c in v)
     return out

@@ -41,7 +41,7 @@ class UsageError(CliError):
     """An option value the command cannot honour (exit code 2)."""
 
 
-def _spacing(args, dim=None):
+def _spacing(args):
     if getattr(args, "spacing", None):
         return tuple(float(t) for t in args.spacing.split(","))
     return None
@@ -210,8 +210,7 @@ def _verify_case(mask, size, seed):
     depth = _mask_depth(mask)
     rng = np.random.default_rng(seed)
     n = lattice.dim
-    hi = min(size, 32) + 1
-    dims = tuple(int(rng.integers(2 * depth + 4, hi)) for _ in range(n))
+    dims = tuple(int(rng.integers(2 * depth + 4, size + 1)) for _ in range(n))
     image = image_io.random_image(lattice, dims,
                                   density=float(rng.uniform(0.3, 0.9)),
                                   seed=seed, border_depth=depth)
@@ -225,6 +224,7 @@ def _verify_case(mask, size, seed):
     return (coord, *(int(m[idx]) for m in maps))
 
 
+_VERIFY_MAX_SIZE = 32
 _VERIFY_MASKS = {
     "Z2": ("z2-2", (3, 4)),
     "Z3": ("z3-3", (3, 4, 5)),
@@ -245,6 +245,9 @@ def cmd_verify(args, out):
     if args.size < least:
         raise UsageError(f"--size must be {least} or more for "
                          f"{', '.join(names)}, got {args.size}")
+    if args.size > _VERIFY_MAX_SIZE:
+        raise UsageError(f"--size must lie in [{least}, {_VERIFY_MAX_SIZE}] "
+                         f"for {', '.join(names)}, got {args.size}")
     failures = 0
     for name, mask in masks.items():
         mismatches = []
@@ -271,7 +274,7 @@ def build_parser():
                     "lattices")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common_mask(sp, need_infile=False):
+    def common_mask(sp):
         sp.add_argument("--lattice", help="Z2, Z3, BCC or FCC")
         sp.add_argument("--mask", help="mask file ('vx vy [vz] : w' lines)")
         sp.add_argument("--vectors", help="preset geometry, e.g. bcc2")
@@ -329,8 +332,9 @@ def build_parser():
                      help="Z2, Z3, BCC, FCC or all (any case)")
     ver.add_argument("--count", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--size", type=int, default=32,
-                     help="maximum image side length")
+    ver.add_argument("--size", type=int, default=_VERIFY_MAX_SIZE,
+                     help="maximum image side length, from 6 (Z2, Z3) or "
+                          f"8 (BCC, FCC) up to {_VERIFY_MAX_SIZE}")
     ver.set_defaults(func=cmd_verify)
     return p
 

@@ -9,8 +9,7 @@ points inside the image support.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -135,36 +134,20 @@ class ScanPlan:
     half2: tuple  # (vector, weight) with normal . v > 0, for the backward pass
 
 
-def choose_hyperplane(mask: ChamferMask):
-    """Deterministic normal a = (N^{n-1}, ..., N, 1) with a . v != 0 for
-    every mask vector, using the smallest N >= 1 that works."""
-    n = mask.dim
-    N = 1
-    while True:
-        a = tuple(N ** (n - 1 - i) for i in range(n))
-        if all(sum(ai * vi for ai, vi in zip(a, v)) != 0
-               for v in mask.vectors):
-            return a
-        N += 1
-        if N > 10 * (1 + max(abs(c) for v in mask.vectors for c in v)):
-            raise EngineError("could not find a separating hyperplane")
-
-
-def split_mask(mask: ChamferMask, a):
-    """Split the mask into the halves on either side of the hyperplane."""
-    half1, half2 = [], []
-    for v, w in zip(mask.vectors, mask.weights):
-        s = sum(ai * vi for ai, vi in zip(a, v))
-        if s == 0:
-            raise EngineError(f"mask vector {v} lies on the hyperplane")
-        (half1 if s < 0 else half2).append((v, w))
-    return tuple(half1), tuple(half2)
-
-
 def make_scan_plan(mask: ChamferMask) -> ScanPlan:
-    a = choose_hyperplane(mask)
-    h1, h2 = split_mask(mask, a)
-    return ScanPlan(a, h1, h2)
+    """Deterministic normal a = (N^{n-1}, ..., N, 1) with a . v != 0 for
+    every mask vector, using the smallest N >= 1 that works, and the mask
+    split into the halves on either side of that hyperplane."""
+    n = mask.dim
+    limit = 10 * (1 + max(abs(c) for v in mask.vectors for c in v))
+    for N in range(1, limit + 1):
+        a = tuple(N ** (n - 1 - i) for i in range(n))
+        side = [sum(ai * vi for ai, vi in zip(a, v)) for v in mask.vectors]
+        if 0 not in side:
+            entries = list(zip(side, mask.vectors, mask.weights))
+            return ScanPlan(a, tuple((v, w) for s, v, w in entries if s < 0),
+                            tuple((v, w) for s, v, w in entries if s > 0))
+    raise EngineError("could not find a separating hyperplane")
 
 
 def scan_order(image: GridImage, a):
@@ -418,15 +401,17 @@ def dijkstra_oracle(image: GridImage, mask: ChamferMask) -> DistanceMap:
     return DistanceMap(image.lattice, image.origin, out, inf)
 
 
-def parallel_iterative_oracle(image: GridImage, mask: ChamferMask,
-                              max_sweeps: int | None = None) -> DistanceMap:
-    """Synchronous full-mask min-update sweeps until fixpoint."""
+def parallel_iterative_oracle(image: GridImage, mask: ChamferMask
+                              ) -> DistanceMap:
+    """Synchronous full-mask min-update sweeps until fixpoint.  A shortest
+    path visits each support point at most once, so more sweeps than
+    support points mean a fault, which raises EngineError."""
     _require_integer_weights(mask)
     pad, pdims, inner, inf, dist, strides = _padded_setup(image, mask)
     sup = image.support
     dims = image.dims
     sweeps = 0
-    limit = max_sweeps if max_sweeps is not None else int(np.count_nonzero(sup)) + 1
+    limit = int(np.count_nonzero(sup)) + 1
     while True:
         prev = dist[inner].copy()
         best = prev.copy()

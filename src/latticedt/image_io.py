@@ -26,7 +26,7 @@ import numpy as np
 
 from .chamfer_mask import ChamferMask, MaskError
 from .dt_engine import DistanceMap, GridImage
-from .lattice import Lattice, custom_lattice, lattice_by_name
+from .lattice import Lattice, LatticeError, custom_lattice, lattice_by_name
 
 INF32 = 4294967295
 # Whitespace that may separate ASCII payload values.
@@ -197,9 +197,16 @@ def read_distance_map(path) -> DistanceMap:
 
 
 def _header_text(lattice, dims, origin, encoding, scale=None):
+    """The header names a built-in lattice only when the registry's lattice
+    of that name has the same generators; any other lattice is written as
+    'custom' with its generators."""
     out = ["LDT1"]
-    if lattice.name in ("Z2", "Z3", "BCC", "FCC"):
-        out.append(f"lattice {lattice.name}")
+    try:
+        builtin = lattice_by_name(lattice.name)
+    except LatticeError:
+        builtin = None
+    if builtin is not None and builtin.generators == lattice.generators:
+        out.append(f"lattice {builtin.name}")
     else:
         out.append("lattice custom")
         out.append("generators " + " ; ".join(

@@ -178,23 +178,6 @@ class Lattice:
             ok &= acc % m == 0
         return ok
 
-    def decompose(self, point):
-        """Integer coordinates of ``point`` in the generator basis,
-        or None if the point is not a lattice member."""
-        coeffs = cramer_coefficients(self.generators, point)
-        if any(c.denominator != 1 for c in coeffs):
-            return None
-        return tuple(int(c) for c in coeffs)
-
-    def is_basis(self, family) -> bool:
-        """True iff ``family`` (n lattice vectors) generates the full lattice,
-        i.e. |det(family)| equals the covolume."""
-        if len(family) != self.dim:
-            return False
-        if any(not self.member(v) for v in family):
-            return False
-        return abs(int_det(family)) == self.covolume
-
     def euclidean_norm(self, v) -> float:
         return math.sqrt(sum((s * c) ** 2 for s, c in zip(self.spacing, v)))
 

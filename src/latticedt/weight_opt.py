@@ -40,15 +40,6 @@ from .chamfer_mask import (
 from .lattice import Lattice, batch_adjugate, signed_permutation_orbit
 
 
-def euclidean_norm(v, spacing) -> float:
-    return math.sqrt(sum((s * c) ** 2 for s, c in zip(spacing, v)))
-
-
-def vertex_ratio(v, weight, spacing) -> float:
-    """Ratio between mask weight and Euclidean length of the vector."""
-    return weight / euclidean_norm(v, spacing)
-
-
 def _cone_projection_max(l_phys, gens_phys, eps=1e-12):
     """Maximum of (l . p) / |p| over the cone spanned by ``gens_phys``.
 
@@ -99,29 +90,29 @@ class ErrorStats:
         return 2.0 / (self.rho_max + self.rho_min)
 
 
-def max_relative_error(decomp: WedgeDecomposition, spacing=None) -> ErrorStats:
-    """Ratio range of the mask's distance against Euclidean distance.
+def max_relative_error(decomp: WedgeDecomposition) -> ErrorStats:
+    """Ratio range of the mask's distance against Euclidean distance,
+    measured with the spacing of the mask's lattice.
 
     A norm (see WedgeDecomposition.is_norm) is scored on its true
-    distance, the gauge of the hull of {v / w}: rho_max = max |l_F| over
-    the hull facets.  A mask that is not a norm, or has non-integer
-    weights, is scored on the wedge fan's formula.
+    distance, the max of the linear forms l = row / denom that
+    WedgeDecomposition._gauge picks (the wedge forms on a convex fan, the
+    hull facet forms otherwise): rho_max = max |l|.  A mask that is not a
+    norm, or has non-integer weights, is scored on the wedge fan's formula.
     """
     mask = decomp.mask
-    sp = spacing if spacing is not None else mask.lattice.spacing
-    rho_min = min(vertex_ratio(v, w, sp)
+    lattice = mask.lattice
+    rho_min = min(w / lattice.euclidean_norm(v)
                   for v, w in zip(mask.vectors, mask.weights))
     if decomp.is_norm:
-        rho_max = max(math.sqrt(sum((c / (f.denom * s)) ** 2
-                                    for c, s in zip(f.form, sp)))
-                      for f in decomp.hull)
+        forms, denom, _, _ = decomp._gauge
+        rho_max = max(math.sqrt(sum((c / (denom * s)) ** 2
+                                    for c, s in zip(row, lattice.spacing)))
+                      for row in forms.tolist())
     else:
-        rho_max = max(wedge_ratio_max(w, sp) for w in decomp.wedges)
+        rho_max = max(wedge_ratio_max(w, lattice.spacing)
+                      for w in decomp.wedges)
     return ErrorStats(rho_min, rho_max)
-
-
-def optimal_scale_factor(decomp: WedgeDecomposition, spacing=None) -> float:
-    return max_relative_error(decomp, spacing).scale
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +153,9 @@ class MaskGeometry:
         """Wedge fan of the geometry (independent of the weights used)."""
         return build_wedges(self.mask_with(tuple(range(1, len(self.classes) + 1))))
 
-    def class_norms(self, spacing=None):
-        sp = spacing if spacing is not None else self.lattice.spacing
-        return tuple(euclidean_norm(orbit[0], sp) for orbit in self.classes)
+    def class_norms(self):
+        return tuple(self.lattice.euclidean_norm(orbit[0])
+                     for orbit in self.classes)
 
 
 @dataclass(frozen=True)
@@ -181,7 +172,7 @@ class RealWeightOptimum:
         return 1.0
 
 
-def optimize_real_weights(geometry: MaskGeometry, spacing=None) -> RealWeightOptimum:
+def optimize_real_weights(geometry: MaskGeometry) -> RealWeightOptimum:
     """Best real weights for a mask geometry.
 
     With weights equal to the Euclidean vector lengths every vertex ratio
@@ -189,11 +180,10 @@ def optimize_real_weights(geometry: MaskGeometry, spacing=None) -> RealWeightOpt
     scaling all weights by 2 / (1 + rho*) centers the ratio band on 1,
     which is optimal for this geometry.  Returns one weight per class.
     """
-    sp = spacing if spacing is not None else geometry.lattice.spacing
-    norms = geometry.class_norms(sp)
-    mask = geometry.mask_with(norms)
-    decomp = build_wedges(mask)
-    rho_star = max(wedge_ratio_max(w, sp) for w in decomp.wedges)
+    norms = geometry.class_norms()
+    decomp = build_wedges(geometry.mask_with(norms))
+    rho_star = max(wedge_ratio_max(w, geometry.lattice.spacing)
+                   for w in decomp.wedges)
     factor = 2.0 / (1.0 + rho_star)
     return RealWeightOptimum(tuple(factor * n for n in norms), rho_star)
 
@@ -358,21 +348,20 @@ def _hull_scores(geometry: MaskGeometry, W, spacing):
     return norm, rho2
 
 
-def search_integer_weights(geometry: MaskGeometry, max_weight: int,
-                           spacing=None, primitive_only: bool = True):
+def search_integer_weights(geometry: MaskGeometry, max_weight: int):
     """Enumerate integer weight assignments up to ``max_weight`` and score
     each by optimal scale and relative error.
 
     Candidate tuples are constrained by the mediant relations of the wedge
     fan (each derived vector costs between the max and the sum of its
-    summands) and, by default, reduced to primitive tuples (gcd 1) since
-    scalar multiples have identical error.  Each tuple is scored as
+    summands) and reduced to primitive tuples (gcd 1), since scalar
+    multiples have identical error.  Each tuple is scored as
     max_relative_error scores its mask: on the hull of {v / w} when the
     mask induces a norm (whether or not the fan is convex for it), on the
     wedge fan otherwise.  Returns WeightRow objects sorted by (max weight,
     error, weights).
     """
-    sp = spacing if spacing is not None else geometry.lattice.spacing
+    sp = geometry.lattice.spacing
     decomp = geometry.reference_decomposition()
     C = geometry.num_classes
 
@@ -393,7 +382,7 @@ def search_integer_weights(geometry: MaskGeometry, max_weight: int,
             if counts.sum() else np.zeros(0, dtype=np.int64)
         newcol = lo[rows] + offsets
         W = np.column_stack([W[rows], newcol])
-    if primitive_only and C > 1:
+    if C > 1:
         W = W[np.gcd.reduce(W, axis=1) == 1]
     if len(W) == 0:
         return []
@@ -401,7 +390,7 @@ def search_integer_weights(geometry: MaskGeometry, max_weight: int,
     Wf = W.astype(float)
     # Smallest vertex ratio per tuple: within a class the ratio is smallest
     # on the longest orbit member (they differ under anisotropic spacing).
-    max_norms = np.array([max(euclidean_norm(v, sp) for v in orbit)
+    max_norms = np.array([max(map(geometry.lattice.euclidean_norm, orbit))
                           for orbit in geometry.classes])
     rho_min = np.min(Wf / max_norms, axis=1)
 

@@ -15,8 +15,6 @@ from latticedt.chamfer_mask import (
     build_wedges,
     central_closure,
     convexity_report,
-    farey_split,
-    normalized_polytope,
 )
 from latticedt.dt_engine import GridImage, chamfer_two_scan
 from latticedt.lattice import cramer_coefficients, int_det, square_lattice
@@ -105,18 +103,6 @@ def test_linear_form_interpolates_weights():
             assert sum(f * c for f, c in zip(form, v)) == pytest.approx(w)
 
 
-def test_farey_split():
-    mask = orbit_mask(square_lattice(), [((1, 0), 3), ((1, 1), 4)])
-    decomp = build_wedges(mask)
-    wedge = next(w for w in decomp.wedges
-                 if set(w.vectors) == {(1, 0), (1, 1)})
-    a, b = farey_split(wedge, 0, 1)
-    mediant = (2, 1)
-    assert mediant in a.vectors and mediant in b.vectors
-    assert a.weights[a.vectors.index(mediant)] == 7
-    assert abs(a.det) == abs(b.det) == 1
-
-
 def test_collinear_mask_rejected():
     with pytest.raises(MaskError):
         build_wedges(ChamferMask.build(square_lattice(),
@@ -186,13 +172,6 @@ def test_degenerate_coplanar_vertex_flagged():
     verdict, offenders = convexity_report(decomp)
     assert verdict == "degenerate"
     assert offenders
-
-
-def test_normalized_polytope_vertices():
-    decomp = build_wedges(preset_mask("bcc2", (13, 15)))
-    verts = normalized_polytope(decomp)
-    assert verts[(1, 1, 1)] == (Fraction(1, 13),) * 3
-    assert verts[(2, 0, 0)] == (Fraction(2, 15), 0, 0)
 
 
 @given(st.tuples(st.integers(-30, 30), st.integers(-30, 30),

@@ -159,6 +159,7 @@ def test_verify_names_first_mismatch(capsys, monkeypatch):
     (["--count", "0"], "--count must be 1 or more"),
     (["--lattice", "Z3", "--size", "5"], "--size must be 6 or more"),
     (["--lattice", "fcc", "--size", "7"], "--size must be 8 or more"),
+    (["--lattice", "Z2", "--size", "33"], "--size must lie in [6, 32]"),
 ])
 def test_verify_refuses_unusable_values(capsys, argv, message):
     code, out, err = run(capsys, "verify", *argv)

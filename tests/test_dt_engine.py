@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import fixture_path, orbit_mask
-from latticedt.chamfer_mask import ChamferMask, build_wedges
+from latticedt.chamfer_mask import ChamferMask, MaskError, build_wedges
 from latticedt.dt_engine import (
     EngineError,
     GridImage,
     Verdict,
     chamfer_two_scan,
-    choose_hyperplane,
     dijkstra_oracle,
     generate_ball,
     make_scan_plan,
     order_supported_by,
     parallel_iterative_oracle,
     scan_order,
-    split_mask,
     validate_image,
 )
 from latticedt.image_io import read_image, random_image, single_point_image
@@ -35,7 +33,7 @@ def border_depth(mask):
 
 def test_choose_hyperplane_city_block():
     mask = orbit_mask(square_lattice(), [((1, 0), 1)])
-    a = choose_hyperplane(mask)
+    a = make_scan_plan(mask).normal
     assert all(sum(ai * vi for ai, vi in zip(a, v)) != 0
                for v in mask.vectors)
     # no diagonal vectors, so the smallest N = 1 already works
@@ -46,7 +44,7 @@ def test_choose_hyperplane_one_dim_like():
     # Any 2D mask without diagonal vectors admits N = 1... the (1,1)
     # direction forces N = 2.
     mask = orbit_mask(square_lattice(), [((1, 0), 3), ((1, 1), 4)])
-    assert choose_hyperplane(mask) == (2, 1)
+    assert make_scan_plan(mask).normal == (2, 1)
 
 
 def test_split_mask_halves_mirror(diagonal_mask):
@@ -61,9 +59,8 @@ def test_split_mask_halves_mirror(diagonal_mask):
 def test_split_mask_equal_sizes():
     for name, w in [("bcc2", (13, 15)), ("fcc2", (2, 3))]:
         mask = preset_mask(name, w)
-        a = choose_hyperplane(mask)
-        h1, h2 = split_mask(mask, a)
-        assert len(h1) == len(h2) == len(mask.vectors) // 2
+        plan = make_scan_plan(mask)
+        assert len(plan.half1) == len(plan.half2) == len(mask.vectors) // 2
 
 
 def test_scan_order_supports_half_masks():
@@ -201,17 +198,14 @@ def test_oracle_equivalence_beyond_two_scan(case, diagonal_mask):
         assert np.any(finite & (img.values == 1))
 
 
-def test_dijkstra_steps_from_u_to_u_plus_v():
-    # Built directly, a mask need not be symmetric; the oracle's relaxation
-    # then shows its direction: d(u + v) <= d(u) + w.
-    mask = ChamferMask(square_lattice(), ((1, 0),), (2,))
-    fg = np.ones((5, 3), bool)
-    fg[1, 1] = False
-    dmap = dijkstra_oracle(GridImage.from_foreground(square_lattice(),
-                                                     (0, 0), fg), mask)
-    reached = dmap.values < dmap.infinity
-    assert np.array_equal(np.flatnonzero(reached.ravel()), [4, 7, 10, 13])
-    assert dmap.values[1:, 1].tolist() == [0, 2, 4, 6]
+def test_one_sided_mask_is_refused():
+    # dijkstra_oracle steps from u to u + v while the two-scan and the
+    # iterative oracle read p + v; they agree only on symmetric masks.
+    with pytest.raises(MaskError, match="closed under v -> -v"):
+        ChamferMask(square_lattice(), ((1, 0),), (2,))
+    with pytest.raises(MaskError, match="equal weights"):
+        ChamferMask(square_lattice(), ((-1, 0), (1, 0)), (2, 3))
+    ChamferMask(square_lattice(), ((-1, 0), (1, 0)), (2, 2))
 
 
 def test_unreachable_points_stay_infinite(z2_mask):
@@ -306,7 +300,7 @@ def test_iterative_oracle_sweep_bound(z2_mask):
     img = random_image(square_lattice(), (15, 15), 0.6, seed=2,
                        border_depth=border_depth(z2_mask))
     # must stabilize well within the point-count bound
-    dmap = parallel_iterative_oracle(img, z2_mask, max_sweeps=300)
+    dmap = parallel_iterative_oracle(img, z2_mask)
     assert dmap.values.max() >= 0
 
 

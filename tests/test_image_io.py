@@ -109,6 +109,16 @@ def test_custom_lattice_header(tmp_path):
     img = read_image(p)
     assert img.lattice.covolume == 6
     assert int(np.count_nonzero(img.support)) == 3
+    # A lattice that takes a built-in name with other generators is
+    # written as custom, so its payload length matches its own members.
+    lat = custom_lattice("BCC", ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    img = random_image(lat, (5, 4, 3), 0.5, seed=2)
+    write_image(img, p)
+    assert "lattice custom\ngenerators 2 0 0 ; 0 2 0 ; 0 0 2\n" in \
+        p.read_text()
+    back = read_image(p)
+    assert back.lattice.generators == lat.generators
+    assert np.array_equal(back.values, img.values)
 
 
 def test_carved_image_has_no_file_form(tmp_path):

@@ -76,19 +76,6 @@ def test_fcc_membership_is_even_sum(p):
     assert fcc_lattice().member(p) == (sum(p) % 2 == 0)
 
 
-@given(st.tuples(ints, ints, ints))
-@settings(max_examples=100)
-def test_decompose_round_trip(p):
-    lat = fcc_lattice()
-    co = lat.decompose(p)
-    if co is None:
-        assert not lat.member(p)
-    else:
-        assert lat.member(p)
-        for i in range(3):
-            assert sum(c * g[i] for c, g in zip(co, lat.generators)) == p[i]
-
-
 def test_member_grid_matches_member():
     for lat in (bcc_lattice(), fcc_lattice()):
         grid = lat.member_grid((-3, -2, -1), (6, 5, 4))
@@ -109,23 +96,12 @@ def test_member_grid_unit_and_custom_covolume():
                 assert grid[i, j] == lat.member((i - 5, j - 4))
 
 
-def test_is_basis():
-    bcc = bcc_lattice()
-    assert bcc.is_basis(((1, 1, 1), (1, 1, -1), (2, 0, 0)))
-    assert not bcc.is_basis(((1, 1, 1), (1, 1, -1), (2, 2, 0)))  # det 8
-    assert not bcc.is_basis(((1, 0, 0), (0, 1, 0), (0, 0, 1)))  # not members
-    fcc = fcc_lattice()
-    assert fcc.is_basis(((1, 1, 0), (1, 0, 1), (1, -1, 0)))
-    assert fcc.is_basis(((1, 1, 0), (1, 0, 1), (2, 0, 0)))
-
-
 def test_custom_lattice_membership():
     lat = custom_lattice("hex-ish", ((2, 1), (0, 3)))
     assert lat.covolume == 6
     assert lat.member((2, 1))
     assert lat.member((2, 4))
     assert not lat.member((1, 0))
-    assert lat.decompose((2, 4)) == (1, 1)
 
 
 def test_lattice_by_name():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,22 +7,12 @@ from latticedt.lattice import square_lattice
 from latticedt.presets import preset_geometry, preset_mask
 from latticedt.weight_opt import (
     MaskGeometry,
-    euclidean_norm,
     max_relative_error,
-    optimal_scale_factor,
     optimize_real_weights,
     pareto_front,
     search_integer_weights,
-    vertex_ratio,
     wedge_ratio_max,
 )
-
-
-def test_euclidean_norm_and_vertex_ratio():
-    assert euclidean_norm((3, 4), (1.0, 1.0)) == 5.0
-    assert euclidean_norm((1, 1, 1), (2.0, 2.0, 2.0)) == pytest.approx(
-        2 * math.sqrt(3))
-    assert vertex_ratio((3, 4), 10, (1.0, 1.0)) == 2.0
 
 
 def test_wedge_ratio_max_against_dense_sampling():
@@ -83,7 +71,6 @@ def test_scale_definition():
     stats = max_relative_error(decomp)
     assert stats.scale == pytest.approx(
         2.0 / (stats.rho_min + stats.rho_max))
-    assert optimal_scale_factor(decomp) == stats.scale
     # After rescaling, the ratio band is centered on 1.
     lo = stats.scale * stats.rho_min
     hi = stats.scale * stats.rho_max
