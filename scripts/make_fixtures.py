@@ -15,15 +15,17 @@ All four files are derived from the two-vector diagonal mask
 Maps are produced by ``dijkstra_oracle``, the label-setting bucket
 wavefront, which is exact on every image; the two-scan is exact only on
 images it certifies.  invalid_image.ldt is the first random image on
-which the forced two-scan and ``dijkstra_oracle`` differ.  Run from the
-repository root: ``python scripts/make_fixtures.py``.
+which the forced two-scan and ``dijkstra_oracle`` differ.  Run from any
+directory: ``python scripts/make_fixtures.py``.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from latticedt.chamfer_mask import ChamferMask
 from latticedt.dt_engine import (
@@ -36,7 +38,7 @@ from latticedt.dt_engine import (
 from latticedt.image_io import write_distance_map, write_image
 from latticedt.lattice import square_lattice
 
-OUT = "tests/fixtures"
+OUT = ROOT / "tests" / "fixtures"
 
 
 def diagonal_mask():

@@ -7,8 +7,9 @@ Usage: python scripts/reproduce_tables.py [preset ...]
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from latticedt.presets import PRESET_NAMES, preset_geometry
 from latticedt.weight_opt import (

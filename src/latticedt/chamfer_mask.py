@@ -62,7 +62,7 @@ class ChamferMask:
     closure: a mask whose vectors are not closed under v -> -v with equal
     weights raises MaskError, since the engines step along +v in some
     places and -v in others.  Weights may be ints (exact arithmetic
-    throughout) or floats.
+    throughout) or floats; build turns integral floats into ints.
     """
 
     lattice: Lattice
@@ -86,7 +86,12 @@ class ChamferMask:
         for w in table.values():
             if not w > 0:
                 raise MaskError("weights must be positive")
-        return cls(lattice, tuple(table), tuple(table.values()))
+        # An integral weight spelled as a float (5.0) is the integer, so
+        # the mask takes the exact path whichever way it was written.
+        weights = tuple(int(w) if isinstance(w, numbers.Real)
+                        and math.isfinite(w) and w == int(w) else w
+                        for w in table.values())
+        return cls(lattice, tuple(table), weights)
 
     @property
     def dim(self) -> int:

@@ -8,6 +8,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -26,10 +27,10 @@ from .dt_engine import (
 from .lattice import lattice_by_name
 from .presets import PRESET_NAMES, preset_geometry, preset_mask
 from .weight_opt import (
+    _pareto_index,
+    _search_table,
     max_relative_error,
     optimize_real_weights,
-    pareto_front,
-    search_integer_weights,
 )
 
 
@@ -128,20 +129,25 @@ def cmd_weights_optimize(args, out):
 
 
 def cmd_weights_search(args, out):
+    if args.max_weight < 1:
+        raise UsageError(f"--max-weight must be 1 or more, got "
+                         f"{args.max_weight}")
     geom = _geometry(args)
-    rows = search_integer_weights(geom, args.max_weight)
+    W, scale, error = _search_table(geom, args.max_weight)
     if not args.all:
-        rows = pareto_front(rows)
+        keep = _pareto_index(error.tolist())
+        W, scale, error = W[:, keep], scale[keep], error[keep]
+    cells = ["%d"] * geom.num_classes
     if args.format == "csv":
-        cols = [f"w{i+1}" for i in range(geom.num_classes)]
-        print(",".join(cols + ["scale", "error_pct"]), file=out)
-        for r in rows:
-            print(",".join(str(w) for w in r.weights) +
-                  f",{r.scale:.4f},{100 * r.error:.2f}", file=out)
+        print(",".join([f"w{i+1}" for i in range(geom.num_classes)]
+                       + ["scale", "error_pct"]), file=out)
+        line = ",".join(cells + ["%.4f", "%.2f"]) + "\n"
     else:
-        for r in rows:
-            print(" ".join(f"{w}" for w in r.weights) +
-                  f" {r.scale:.3f} {100 * r.error:.2f}", file=out)
+        line = " ".join(cells + ["%.3f", "%.2f"]) + "\n"
+    # One template over the row-interleaved columns formats every row.
+    fields = itertools.chain.from_iterable(
+        zip(*W.tolist(), scale.tolist(), (100 * error).tolist()))
+    out.write(line * len(error) % tuple(fields))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Reading and writing LDT1 images/maps, mask files, and synthetic images.
+"""LDT1 image and map I/O, mask file reading, and synthetic images.
 
 LDT1 layout (text header, then payload)::
 
@@ -300,12 +300,6 @@ def read_mask(path, lattice: Lattice) -> ChamferMask:
         raise FormatError(f"{path}: {e}") from e
 
 
-def write_mask(mask: ChamferMask, path):
-    with open(path, "w", encoding="ascii") as f:
-        for v, w in zip(mask.vectors, mask.weights):
-            f.write(" ".join(str(c) for c in v) + f" : {w}\n")
-
-
 # ---------------------------------------------------------------------------
 # Synthetic images.
 # ---------------------------------------------------------------------------
@@ -347,14 +341,6 @@ def random_image(lattice, dims, density=0.5, seed=0,
     rng = np.random.default_rng(seed)
     fg = rng.random(tuple(dims)) < density
     _force_border_background(fg, border_depth)
-    return GridImage.from_foreground(lattice, (0,) * len(dims), fg)
-
-
-def box_phantom(lattice, dims, lo, hi) -> GridImage:
-    """Foreground exactly on the sub-box lo <= p <= hi (inclusive)."""
-    fg = np.zeros(tuple(dims), dtype=bool)
-    sl = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
-    fg[sl] = True
     return GridImage.from_foreground(lattice, (0,) * len(dims), fg)
 
 

@@ -24,8 +24,10 @@ spacing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,8 +297,21 @@ def _hull_constraints(geometry: MaskGeometry):
     return np.array(vecs), np.array(rhs), [tuple(range(n))]
 
 
+def _pattern_ids(bits):
+    """Integers that are equal exactly where the columns of the (K, m) bool
+    array are."""
+    ids = np.zeros(bits.shape[1], dtype=np.int64)
+    for k, row in enumerate(bits):
+        if k % 32 == 31:                      # keep ids below 2**63
+            ids = np.unique(ids, return_inverse=True)[1].ravel()
+        ids = 2 * ids + row
+    # np.unique sorts 16-bit ids by radix, several times faster.
+    return ids.astype(np.uint16) if len(bits) <= 16 else ids
+
+
 def _hull_scores(geometry: MaskGeometry, W, spacing):
-    """Per weight row: (is the mask a norm, squared hull rho_max).
+    """Per weight column of W (C, rows): (is the mask a norm, squared hull
+    rho_max).
 
     Each n-subset of constraints is a candidate vertex l = M w / |det|.
     A row is scored on the feasible candidates; its norm test needs the
@@ -314,30 +329,37 @@ def _hull_scores(geometry: MaskGeometry, W, spacing):
     subsets = np.array(list(itertools.combinations(range(len(H)), n)))
     adj, det = batch_adjugate(H[subsets])
     linear = {}
-    rho2 = np.zeros(len(W))
-    norm = np.ones(len(W), dtype=bool)
+    rho2 = np.zeros(W.shape[1])
+    norm = np.ones(W.shape[1], dtype=bool)
     for sub, a, d in zip(subsets, adj, det):
         if d == 0:
             continue
         M = a @ R[sub] * np.sign(d)           # l * |d| = M w
         G = H @ M - abs(d) * R                # feasible iff G w <= 0
-        Gw = W @ G.T
-        feas = np.all(Gw <= 0, axis=1)
-        if not feas.any():
-            continue
+        G = G[np.any(G != 0, axis=1)]         # the rest are always tight
+        feas = np.ones(W.shape[1], dtype=bool)
+        for g in G:
+            feas &= g @ W <= 0
         rows = np.flatnonzero(feas)
-        L = W[rows] @ M.T
-        # |l / spacing|^2 of every image of l under the permutations.
-        r2 = np.max([np.sum((L[:, list(p)] / (abs(d) * sp)) ** 2, axis=1)
-                     for p in perms], axis=0)
+        if not len(rows):
+            continue
+        Wr = W[:, rows]
+        L = M @ Wr
+        # |l / spacing|^2 of every image of l under the permutations,
+        # each summed in coordinate order; equal spacings share terms.
+        squares = {s: [(Lj / (abs(d) * s)) ** 2 for Lj in L]
+                   for s in set(sp.tolist())}
+        terms = [squares[s] for s in sp.tolist()]
+        r2 = functools.reduce(np.maximum, (
+            functools.reduce(operator.add, (terms[i][j]
+                                            for i, j in enumerate(p)))
+            for p in perms))
         rho2[rows] = np.maximum(rho2[rows], r2)
-        packed = np.packbits(Gw[rows] == 0, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, inv = np.unique(keys, return_index=True,
-                                  return_inverse=True)
+        _, first, inv = np.unique(_pattern_ids(G @ Wr == 0),
+                                  return_index=True, return_inverse=True)
         for k, i in enumerate(first):
-            lw = L[i]
-            wr = W[rows[i]]
+            lw = L[:, i]
+            wr = Wr[:, i]
             tight = tuple(vecs[j] for j in np.flatnonzero(
                 V @ lw == abs(d) * wr[vcls]))
             if tight not in linear:
@@ -346,6 +368,81 @@ def _hull_scores(geometry: MaskGeometry, W, spacing):
             if not linear[tight]:
                 norm[rows[inv.ravel() == k]] = False
     return norm, rho2
+
+
+def _fan_scores(geometry: MaskGeometry, decomp: WedgeDecomposition, W,
+                wanted):
+    """Squared fan rho_max of the weight columns of W (C, rows) where
+    ``wanted``, 0 elsewhere.
+
+    A face's quadratic w^T Q w counts where its coordinates R w are
+    nonnegative.  Faces share coordinate rows, so each distinct row is
+    tested once, with column products rather than a matmul.
+    """
+    pairs = _wedge_quadratics(geometry, decomp, geometry.lattice.spacing)
+    rho2 = np.zeros(W.shape[1])
+    coords, which = np.unique(np.concatenate([R for _, R in pairs]),
+                              axis=0, return_inverse=True)
+    Wc = W.astype(float)
+    ok = [sum(r * w for r, w in zip(row, Wc) if r) >= -1e-9
+          for row in coords]
+    Wf = np.ascontiguousarray(W.T, dtype=float)
+    which = which.ravel()
+    bounds = np.cumsum([0] + [len(R) for _, R in pairs])
+    for (Q, _), lo, hi in zip(pairs, bounds, bounds[1:]):
+        valid = functools.reduce(operator.and_, [ok[k] for k in which[lo:hi]],
+                                 wanted)
+        rows = np.flatnonzero(valid)
+        if len(rows):
+            Wr = Wf[rows]
+            rho2[rows] = np.maximum(rho2[rows],
+                                    np.einsum("mc,cd,md->m", Wr, Q, Wr))
+    return rho2
+
+
+def _candidates(geometry: MaskGeometry, decomp: WedgeDecomposition,
+                max_weight: int):
+    """Weight tuples within the mediant bounds, primitive when there is
+    more than one class, as a (C, rows) int64 array built class by class."""
+    cols = [np.arange(1, max_weight + 1, dtype=np.int64)]
+    constraints = _class_intervals(geometry, decomp)
+    for c in range(1, geometry.num_classes):
+        lo = np.ones(len(cols[0]), dtype=np.int64)
+        hi = np.full(len(cols[0]), max_weight, dtype=np.int64)
+        for rel in constraints[c]:
+            lo = functools.reduce(np.maximum, [cols[pc] for pc, _ in rel], lo)
+            hi = np.minimum(hi, sum(coeff * cols[pc] for pc, coeff in rel))
+        counts = np.maximum(hi - lo + 1, 0)
+        src = np.repeat(np.arange(len(counts)), counts)
+        # Row k of the group of source row i takes weight lo[i] + k.
+        start = np.cumsum(counts) - counts
+        cols = [col[src] for col in cols] + [
+            np.arange(len(src)) + (lo - start)[src]]
+    W = np.array(cols)
+    return W[:, functools.reduce(np.gcd, cols) == 1] if len(cols) > 1 else W
+
+
+def _search_table(geometry: MaskGeometry, max_weight: int):
+    """The scored search as sorted columns: weights (C, rows) int64,
+    scale and error; see search_integer_weights."""
+    sp = geometry.lattice.spacing
+    decomp = geometry.reference_decomposition()
+    W = _candidates(geometry, decomp, max_weight)
+    # Smallest vertex ratio per tuple: within a class the ratio is smallest
+    # on the longest orbit member (they differ under anisotropic spacing).
+    max_norms = [max(map(geometry.lattice.euclidean_norm, orbit))
+                 for orbit in geometry.classes]
+    rho_min = functools.reduce(np.minimum, [w / m for w, m
+                                            in zip(W, max_norms)])
+
+    norm, hull_rho2 = _hull_scores(geometry, W, sp)
+    fan_rho2 = _fan_scores(geometry, decomp, W, ~norm)
+    rho_max = np.sqrt(np.where(norm, hull_rho2, fan_rho2))
+
+    error = (rho_max - rho_min) / (rho_max + rho_min)
+    scale = 2.0 / (rho_max + rho_min)
+    order = np.lexsort((*W[::-1], error, W.max(axis=0)))
+    return W[:, order], scale[order], error[order]
 
 
 def search_integer_weights(geometry: MaskGeometry, max_weight: int):
@@ -358,69 +455,27 @@ def search_integer_weights(geometry: MaskGeometry, max_weight: int):
     multiples have identical error.  Each tuple is scored as
     max_relative_error scores its mask: on the hull of {v / w} when the
     mask induces a norm (whether or not the fan is convex for it), on the
-    wedge fan otherwise.  Returns WeightRow objects sorted by (max weight,
-    error, weights).
+    wedge fan otherwise.  Every scoring pass runs over whole weight
+    columns.  Returns WeightRow objects sorted by (max weight, error,
+    weights).
     """
-    sp = geometry.lattice.spacing
-    decomp = geometry.reference_decomposition()
-    C = geometry.num_classes
+    W, scale, error = _search_table(geometry, max_weight)
+    return list(map(WeightRow, zip(*W.tolist()), scale.tolist(),
+                    error.tolist()))
 
-    # Enumerate feasible weight tuples, class by class.
-    W = np.arange(1, max_weight + 1, dtype=np.int64)[:, None]
-    constraints = _class_intervals(geometry, decomp)
-    for c in range(1, C):
-        lo = np.ones(len(W), dtype=np.int64)
-        hi = np.full(len(W), max_weight, dtype=np.int64)
-        for rel in constraints.get(c, ()):
-            lo = np.maximum(lo, np.max(
-                np.stack([W[:, pc] for pc, _ in rel], axis=1), axis=1))
-            hi = np.minimum(hi, sum(coeff * W[:, pc] for pc, coeff in rel))
-        hi = np.minimum(hi, max_weight)
-        counts = np.maximum(hi - lo + 1, 0)
-        rows = np.repeat(np.arange(len(W)), counts)
-        offsets = np.concatenate([np.arange(k) for k in counts if k > 0]) \
-            if counts.sum() else np.zeros(0, dtype=np.int64)
-        newcol = lo[rows] + offsets
-        W = np.column_stack([W[rows], newcol])
-    if C > 1:
-        W = W[np.gcd.reduce(W, axis=1) == 1]
-    if len(W) == 0:
-        return []
 
-    Wf = W.astype(float)
-    # Smallest vertex ratio per tuple: within a class the ratio is smallest
-    # on the longest orbit member (they differ under anisotropic spacing).
-    max_norms = np.array([max(map(geometry.lattice.euclidean_norm, orbit))
-                          for orbit in geometry.classes])
-    rho_min = np.min(Wf / max_norms, axis=1)
-
-    pairs = _wedge_quadratics(geometry, decomp, sp)
-    rho2_max = np.zeros(len(W))
-    for Q, R in pairs:
-        valid = np.all(Wf @ R.T >= -1e-9, axis=1)
-        if not valid.any():
-            continue
-        vals = np.einsum("mc,cd,md->m", Wf, Q, Wf)
-        np.maximum(rho2_max, np.where(valid, vals, 0.0), out=rho2_max)
-    norm, hull_rho2 = _hull_scores(geometry, W, sp)
-    rho_max = np.sqrt(np.where(norm, hull_rho2, rho2_max))
-
-    error = (rho_max - rho_min) / (rho_max + rho_min)
-    scale = 2.0 / (rho_max + rho_min)
-    rows = [WeightRow(tuple(int(x) for x in W[i]), float(scale[i]),
-                      float(error[i]))
-            for i in range(len(W))]
-    rows.sort(key=lambda r: (r.max_weight, r.error, r.weights))
-    return rows
+def _pareto_index(error):
+    """Indices of pareto_front's rows, from their error column."""
+    keep = []
+    best = math.inf
+    for i, e in enumerate(error):
+        if e < best - 1e-12:
+            keep.append(i)
+            best = e
+    return keep
 
 
 def pareto_front(rows):
     """Rows whose error strictly improves on every cheaper (smaller max
     weight) row.  Input must be sorted as returned by search_integer_weights."""
-    front = []
-    best = math.inf
-    for r in rows:
-        if r.error < best - 1e-12:
-            front.append(r)
-            best = r.error
-    return front
+    return [rows[i] for i in _pareto_index([r.error for r in rows])]

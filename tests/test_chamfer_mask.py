@@ -315,9 +315,20 @@ def test_float_weights_closed_form_on_convex_fan():
 
 
 def test_float_weights_nonconvex_closed_form_refused():
+    # The weights 3, 2 scaled by 1.25, so that no weight is integral.
     decomp = build_wedges(ChamferMask.build(
         square_lattice(),
-        [((1, 0), 3.0), ((1, 1), 2.0), ((0, 1), 3.0), ((-1, 1), 2.0)]))
+        [((1, 0), 3.75), ((1, 1), 2.5), ((0, 1), 3.75), ((-1, 1), 2.5)]))
     assert not decomp.fan_convex
     with pytest.raises(MaskError):
         decomp.closed_form_distance((0, 2))
+
+
+def test_integral_float_weights_take_the_exact_closed_form():
+    entries = [((1, 0), 3), ((1, 1), 2), ((0, 1), 3), ((-1, 1), 2)]
+    exact = build_wedges(ChamferMask.build(square_lattice(), entries))
+    spelled = build_wedges(ChamferMask.build(
+        square_lattice(), [(v, float(w)) for v, w in entries]))
+    assert all(type(w) is int for w in spelled.mask.weights)
+    assert spelled.closed_form_distance((0, 2)) == \
+        exact.closed_form_distance((0, 2)) == 4

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import fixture_path
 from latticedt import cli, dt_engine, image_io
 from latticedt.cli import main
-from latticedt.lattice import bcc_lattice, square_lattice
+from latticedt.lattice import bcc_lattice, cubic_lattice, square_lattice
 
 
 def run(capsys, *argv):
@@ -39,6 +41,55 @@ def test_weights_search_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "w1,w2,scale,error_pct"
     assert any(line.startswith("2,3,0.6357,") for line in lines)
+
+
+# sha256 of the whole stdout, taken before the search scored whole weight
+# columns and printed through one template; the output must not move.
+SEARCH_DIGESTS = [
+    (("fcc4", "12", "--all", "--format", "csv"),
+     "dbc4caa1713ad0af1135d269e4dce9db3cf4c7341b75acaaa53edd94b7f5df56"),
+    (("bcc3", "20", "--all", "--format", "csv"),
+     "def4bc96d35d49ec4f1ab72ab3b4696f6b42982bc687dab28f28535261569124"),
+    (("bcc2", "22"),
+     "efc3691f9c08deeb89f080bfe0c92873986590d8547999f1264c3b385175ae57"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SEARCH_DIGESTS,
+                         ids=lambda a: "_".join(a) if isinstance(a, tuple)
+                         else None)
+def test_weights_search_output_pinned(capsys, argv, digest):
+    preset, bound, *rest = argv
+    code, out, _ = run(capsys, "weights", "search", "--vectors", preset,
+                       "--max-weight", bound, *rest)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_weights_search_refuses_empty_bound(capsys, bound):
+    code, out, err = run(capsys, "weights", "search", "--vectors", "bcc2",
+                         "--max-weight", bound)
+    assert code == 2
+    assert out == ""
+    assert f"--max-weight must be 1 or more, got {bound}" in err
+
+
+def test_integral_float_weights_are_integers(tmp_path, capsys):
+    code, out, _ = run(capsys, "mask", "check", "--vectors", "fcc4",
+                       "--weights", "2,3,4,5.0")
+    assert code == 1
+    assert "error: 7.94%" in out
+    src = tmp_path / "img.ldt"
+    image_io.write_image(
+        image_io.random_image(cubic_lattice(), (10, 10, 10), density=0.6,
+                              seed=3, border_depth=1), src)
+    code, out, err = run(capsys, "dt", "--in", str(src), "--vectors", "z3-3",
+                         "--weights", "3,4,5.0")
+    assert code == 0, err
+    ints = run(capsys, "dt", "--in", str(src), "--vectors", "z3-3",
+               "--weights", "3,4,5")
+    assert (code, out) == ints[:2]
 
 
 def test_weights_optimize_golden(capsys):

@@ -7,7 +7,6 @@ from latticedt.chamfer_mask import MaskError
 from latticedt.dt_engine import GridImage, chamfer_two_scan
 from latticedt.image_io import (
     FormatError,
-    box_phantom,
     distance_map_csv,
     random_image,
     read_distance_map,
@@ -16,7 +15,6 @@ from latticedt.image_io import (
     single_point_image,
     write_distance_map,
     write_image,
-    write_mask,
 )
 from latticedt.dt_engine import DistanceMap
 from latticedt.image_io import INF32
@@ -132,7 +130,8 @@ def test_carved_image_has_no_file_form(tmp_path):
 def test_mask_file_round_trip(tmp_path):
     mask = orbit_mask(square_lattice(), [((1, 0), 3), ((1, 1), 4)])
     p = tmp_path / "m.mask"
-    write_mask(mask, p)
+    p.write_text("".join(" ".join(map(str, v)) + f" : {w}\n"
+                         for v, w in zip(mask.vectors, mask.weights)))
     back = read_mask(p, square_lattice())
     assert back.vectors == mask.vectors
     assert back.weights == mask.weights
@@ -175,11 +174,6 @@ def test_single_point_image():
     zero = np.argwhere(img.values == 0)
     assert len(zero) == 1
     assert bcc_lattice().member(tuple(zero[0]))
-
-
-def test_box_phantom_volume():
-    img = box_phantom(square_lattice(), (10, 10), (2, 3), (6, 8))
-    assert int(np.count_nonzero(img.values == 1)) == 5 * 6
 
 
 def test_csv_export():

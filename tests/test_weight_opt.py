@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from latticedt.lattice import square_lattice
 from latticedt.presets import preset_geometry, preset_mask
 from latticedt.weight_opt import (
     MaskGeometry,
+    WeightRow,
+    _pattern_ids,
     max_relative_error,
     optimize_real_weights,
     pareto_front,
@@ -116,6 +120,19 @@ def test_search_matches_direct_evaluation():
         assert r.scale == pytest.approx(stats.scale, abs=1e-9)
 
 
+@pytest.mark.parametrize("name,spacing,bound", [
+    ("z2-3", (1.0, 2.0), 7), ("bcc3", (1.0, 1.0, 1.3), 9),
+    ("fcc4", (1.2, 1.0, 0.8), 5)])
+def test_search_matches_direct_evaluation_anisotropic(name, spacing, bound):
+    geom = preset_geometry(name, spacing=spacing)
+    rows = search_integer_weights(geom, bound)
+    assert len(rows) > 20
+    for r in rows[::max(1, len(rows) // 15)]:
+        stats = max_relative_error(build_wedges(geom.mask_with(r.weights)))
+        assert r.error == pytest.approx(stats.error, abs=1e-9)
+        assert r.scale == pytest.approx(stats.scale, abs=1e-9)
+
+
 def test_search_matches_direct_evaluation_without_symmetry():
     # Axis and diagonal classes split by direction: no class is a full
     # signed-permutation orbit, so the search cannot reduce to a chamber.
@@ -128,6 +145,67 @@ def test_search_matches_direct_evaluation_without_symmetry():
         stats = max_relative_error(build_wedges(geom.mask_with(r.weights)))
         assert r.error == pytest.approx(stats.error, abs=1e-9)
         assert r.scale == pytest.approx(stats.scale, abs=1e-9)
+
+
+def test_search_without_symmetry_pinned():
+    # The rows of the geometry above at bound 5, as the search gave them
+    # before it scored whole weight columns (sha256 of one line per row).
+    geom = MaskGeometry(square_lattice(), (
+        ((1, 0), (-1, 0)), ((0, 1), (0, -1)),
+        ((1, 1), (-1, -1)), ((1, -1), (-1, 1))))
+    rows = search_integer_weights(geom, 5)
+    text = "".join(",".join(map(str, r.weights))
+                   + f",{r.scale:.10f},{r.error:.10f}\n" for r in rows)
+    assert len(rows) == 607
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "707465e80986eb05e584b208fe5093a9bd843f73e3dd29d0ea55493d711be2e9")
+
+
+def test_search_rows_are_plain_python_values():
+    rows = search_integer_weights(preset_geometry("bcc3"), 12)
+    assert all(type(w) is int for r in rows for w in r.weights)
+    assert all(type(r.scale) is float and type(r.error) is float
+               for r in rows)
+    keys = [(r.max_weight, r.error, r.weights) for r in rows]
+    assert keys == sorted(keys)
+
+
+def test_search_empty_bound_has_no_rows():
+    assert search_integer_weights(preset_geometry("bcc2"), 0) == []
+    assert pareto_front([]) == []
+
+
+def test_pareto_front_applies_the_tolerance_in_order():
+    # (2,) improves on (1,) by less than 1e-12, so it is not kept and does
+    # not become the bar: (3,) is measured against (1,), the last row kept.
+    rows = [WeightRow((1,), 1.0, 0.5), WeightRow((2,), 1.0, 0.5 - 9e-13),
+            WeightRow((3,), 1.0, 0.5 - 1.5e-12), WeightRow((4,), 1.0, 0.6)]
+    assert [r.weights for r in pareto_front(rows)] == [(1,), (3,)]
+
+
+def test_pattern_ids_equal_exactly_for_equal_columns():
+    # 70 rows pass the point where the ids are renumbered to stay in int64;
+    # half the columns differ only in the first rows, whose bits a plain
+    # 70-bit code would shift out.
+    rng = np.random.default_rng(7)
+    base = rng.random((70, 40)) < 0.5
+    base[6:, 20:] = base[6:, 20:21]
+    bits = base[:, rng.integers(0, 40, 600)]
+    ids = _pattern_ids(bits)
+    _, inv = np.unique(bits, axis=1, return_inverse=True)
+    same_ids = ids[:, None] == ids[None, :]
+    same_cols = inv.ravel()[:, None] == inv.ravel()[None, :]
+    assert np.array_equal(same_ids, same_cols)
+
+
+def test_integral_float_weights_take_the_exact_path():
+    exact = preset_mask("fcc4", (2, 3, 4, 5))
+    spelled = preset_mask("fcc4", (2, 3, 4, 5.0))
+    assert spelled == exact
+    assert all(type(w) is int for w in spelled.weights)
+    assert max_relative_error(build_wedges(spelled)).error == \
+        max_relative_error(build_wedges(exact)).error
+    assert preset_mask("z2-2", (2.5, 4.0)).weights.count(2.5) == 4
 
 
 def test_nonconvex_fan_norm_scored_on_hull():
