@@ -160,20 +160,21 @@ class WedgeDecomposition:
 
     @cached_property
     def _outside(self):
-        """(lhs, bad): lhs[k, j] = covolume * l_k . v_j for wedge k and mask
-        vector j; bad where the vertex v_j / w_j lies strictly outside the
-        plane of wedge k (relative slack 1e-12 for float weights)."""
+        """(lhs, side): lhs[k, j] = covolume * l_k . v_j for wedge k and
+        mask vector j; side[k, j] is 1, 0 or -1 as the vertex v_j / w_j
+        lies strictly outside, on or strictly inside the plane of wedge k
+        (relative slack 1e-12 for float weights)."""
         lhs = self.wedge_forms @ np.array(self.mask.vectors).T
         rhs = self.mask.lattice.covolume * np.array(self.mask.weights)
         slack = (1e-12 * np.maximum(np.abs(lhs), rhs)
                  if lhs.dtype.kind == "f" else 0)
-        return lhs, lhs > rhs + slack
+        return lhs, (lhs > rhs + slack).astype(np.int8) - (lhs < rhs - slack)
 
     @cached_property
     def fan_convex(self) -> bool:
         """True iff no mask vertex lies outside a wedge facet plane, i.e.
         the fan's piecewise-linear formula is the chamfer distance."""
-        return not self._outside[1].any()
+        return not (self._outside[1] > 0).any()
 
     @cached_property
     def hull(self) -> tuple:
@@ -620,48 +621,59 @@ def convexity_report(decomp: WedgeDecomposition):
     integer weights, ordered by wedge and then by mask vector.  They come
     from the same array of wedge forms as WedgeDecomposition.fan_convex.
     Verdict 'degenerate' means no violation but some mask vector is
-    redundant: the other vectors already realize its weight (offender
-    wedge_index is None, lhs is that path cost).  Otherwise 'strict'.
-    Coplanarity of adjacent facets is not flagged; it does not affect
-    distances.
+    redundant: the other vectors already reach it at no more than its
+    weight (offender wedge_index is None, lhs is that path cost; +-v pairs
+    in mask-vector order).  Otherwise 'strict'.  Coplanarity of adjacent
+    facets is not flagged; it does not affect distances.
     """
     mask = decomp.mask
     covol = mask.lattice.covolume
     exact = _integer_weights(mask)
-    lhs, bad = decomp._outside
+    lhs, side = decomp._outside
     offenders = [(mask.vectors[j], k,
                   Fraction(int(lhs[k, j]), covol) if exact
                   else float(lhs[k, j]) / covol, mask.weights[j])
-                 for k, j in np.argwhere(bad).tolist()]
+                 for k, j in np.argwhere(side > 0).tolist()]
     if offenders:
         return "nonconvex", offenders
-    redundant = _redundant_vectors(mask)
+    redundant = _redundant_vectors(decomp)
     if redundant:
         return "degenerate", redundant
     return "strict", []
 
 
-def _redundant_vectors(mask: ChamferMask):
-    """Mask vectors whose weight is already realized by a path over the
-    remaining vectors (exact, one +/- pair at a time)."""
+def _redundant_vectors(decomp: WedgeDecomposition):
+    """Mask vectors that the other vectors reach at no more than their
+    weight, with that cost, read off a convex fan.
+
+    On a convex fan d(v) = max_k l_k . v, and v's own step costs w_v >=
+    d(v).  If d(v) < w_v, a path that avoids +-v is cheaper.  If d(v) =
+    l_k . v = w_v, every path to v costs at least l_k . v, with equality
+    exactly when every step u is tight on row k (l_k . u = w_u), so v is
+    redundant iff it is a nonnegative integer combination of the other
+    vectors tight on row k.
+    """
+    mask = decomp.mask
+    covol = mask.lattice.covolume
+    exact = _integer_weights(mask)
+    lhs, side = decomp._outside
     out = []
     seen = set()
-    for v, wv in zip(mask.vectors, mask.weights):
+    for j, (v, wv) in enumerate(zip(mask.vectors, mask.weights)):
         if v in seen:
             continue
         neg = tuple(-c for c in v)
-        seen.add(v)
-        seen.add(neg)
-        remaining = [(u, wu) for u, wu in zip(mask.vectors, mask.weights)
-                     if u not in (v, neg)]
-        if len(remaining) < 2 * mask.dim:
-            continue
-        try:
-            sub = build_wedges(ChamferMask.build(mask.lattice, remaining))
-            cost = sub.closed_form_distance(v)
-        except MaskError:
-            continue  # the vector is structurally necessary
-        if cost <= wv:
-            out.append((v, None, cost, wv))
-            out.append((neg, None, cost, wv))
+        seen.update((v, neg))
+        k = int(lhs[:, j].argmax())
+        if side[k, j] == 0:
+            tight = [u for u, s in zip(mask.vectors, side[k]) if s == 0
+                     and u != v]
+            bound = covol * wv if exact else covol * wv * (1 + 1e-12)
+            if v not in _monoid_ball(tight, decomp.wedge_forms[k].tolist(),
+                                     bound):
+                continue
+        cost = (int(lhs[k, j]) // covol if exact
+                else float(lhs[k, j]) / covol)
+        out.append((v, None, cost, wv))
+        out.append((neg, None, cost, wv))
     return out

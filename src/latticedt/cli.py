@@ -18,6 +18,7 @@ from .chamfer_mask import build_wedges, convexity_report
 from .dt_engine import (
     EngineError,
     Verdict,
+    _mask_reach,
     chamfer_two_scan,
     dijkstra_oracle,
     generate_ball,
@@ -112,8 +113,12 @@ def cmd_mask_check(args, out):
           file=out)
     print(f"convexity: {verdict}", file=out)
     for v, idx, lhs, rhs in offenders[:10]:
-        print(f"  vertex {v}: formula value {float(lhs):g} exceeds "
-              f"weight {rhs} (wedge {idx})", file=out)
+        if idx is None:
+            print(f"  vertex {v}: reached by other vectors at cost "
+                  f"{float(lhs):.12g} (weight {rhs})", file=out)
+        else:
+            print(f"  vertex {v}: formula value {float(lhs):g} exceeds "
+                  f"weight {rhs} (wedge {idx})", file=out)
     return 0 if verdict != "nonconvex" else 1
 
 
@@ -204,16 +209,12 @@ def cmd_ball(args, out):
     return 0
 
 
-def _mask_depth(mask):
-    return max(abs(c) for v in mask.vectors for c in v)
-
-
 def _verify_case(mask, size, seed):
     """Random image drawn from ``seed`` through the two-scan and both
     oracles.  None when the three maps agree, else the first differing
     point as (coordinate, two-scan, Dijkstra, iterative)."""
     lattice = mask.lattice
-    depth = _mask_depth(mask)
+    depth = max(_mask_reach(mask))
     rng = np.random.default_rng(seed)
     n = lattice.dim
     dims = tuple(int(rng.integers(2 * depth + 4, size + 1)) for _ in range(n))
@@ -247,7 +248,7 @@ def cmd_verify(args, out):
     masks = {name: preset_mask(*_VERIFY_MASKS[name]) for name in names}
     # Image sides are drawn from [2 * depth + 4, size]: a background
     # border of the mask depth on each side around a foreground core.
-    least = max(2 * _mask_depth(m) + 4 for m in masks.values())
+    least = max(2 * max(_mask_reach(m)) + 4 for m in masks.values())
     if args.size < least:
         raise UsageError(f"--size must be {least} or more for "
                          f"{', '.join(names)}, got {args.size}")

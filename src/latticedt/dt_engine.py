@@ -118,6 +118,13 @@ class DistanceMap:
         return self.values.shape
 
 
+def _mask_reach(mask: ChamferMask) -> tuple:
+    """Per axis, the largest |v_i| over the mask vectors: how far one step
+    reaches, and so the margin a padded box needs."""
+    return tuple(max(abs(v[i]) for v in mask.vectors)
+                 for i in range(mask.dim))
+
+
 def distance_bound(image: GridImage, mask: ChamferMask) -> int:
     """Strict upper bound for any achievable in-image path cost."""
     npts = int(np.count_nonzero(image.support))
@@ -139,7 +146,7 @@ def make_scan_plan(mask: ChamferMask) -> ScanPlan:
     every mask vector, using the smallest N >= 1 that works, and the mask
     split into the halves on either side of that hyperplane."""
     n = mask.dim
-    limit = 10 * (1 + max(abs(c) for v in mask.vectors for c in v))
+    limit = 10 * (1 + max(_mask_reach(mask)))
     for N in range(1, limit + 1):
         a = tuple(N ** (n - 1 - i) for i in range(n))
         side = [sum(ai * vi for ai, vi in zip(a, v)) for v in mask.vectors]
@@ -201,7 +208,7 @@ def validate_image(mask: ChamferMask, image: GridImage,
     sup = image.support
     fg = image.values == 1
     dims = image.dims
-    pad = tuple(max(abs(v[i]) for v in mask.vectors) for i in range(len(dims)))
+    pad = _mask_reach(mask)
     padded = np.zeros(tuple(d + 2 * p for d, p in zip(dims, pad)), dtype=bool)
     inner = tuple(slice(p, p + d) for p, d in zip(pad, dims))
     padded[inner] = sup
@@ -224,18 +231,15 @@ def validate_image(mask: ChamferMask, image: GridImage,
     n = len(dims)
     if image.carve:
         normals = [tuple(a) for a, _lo, _hi in image.carve]
-        margin = tuple(max(abs(v[i]) for v in mask.vectors) for i in range(n))
-        ext_origin = tuple(o - m for o, m in zip(image.origin, margin))
-        ext_dims = tuple(d + 2 * m for d, m in zip(dims, margin))
-        predicted = image.lattice.member_grid(ext_origin, ext_dims)
+        # The margin ring is as wide as the padding of ``padded``.
+        ext_origin = tuple(o - p for o, p in zip(image.origin, pad))
+        predicted = image.lattice.member_grid(ext_origin, padded.shape)
         axes = np.ogrid[tuple(slice(o, o + d)
-                              for o, d in zip(ext_origin, ext_dims))]
+                              for o, d in zip(ext_origin, padded.shape))]
         for a, lo, hi in image.carve:
             dot = sum(int(c) * x for c, x in zip(a, axes))
             predicted &= (dot >= lo) & (dot <= hi)
-        sup_ext = np.zeros(ext_dims, dtype=bool)
-        sup_ext[tuple(slice(m, m + d) for m, d in zip(margin, dims))] = sup
-        described = np.array_equal(predicted, sup_ext)
+        described = np.array_equal(predicted, padded)
     else:
         normals = [tuple(1 if j == i else 0 for j in range(n))
                    for i in range(n)]
@@ -273,7 +277,7 @@ def _require_integer_weights(mask: ChamferMask):
 def _padded_setup(image: GridImage, mask: ChamferMask):
     dims = image.dims
     n = len(dims)
-    pad = tuple(max(abs(v[i]) for v in mask.vectors) for i in range(n))
+    pad = _mask_reach(mask)
     pdims = tuple(d + 2 * p for d, p in zip(dims, pad))
     inf = distance_bound(image, mask)
     dist = np.full(pdims, inf, dtype=np.int64)
@@ -441,11 +445,9 @@ def generate_ball(mask: ChamferMask, radius,
     """
     if radius < 0:
         raise EngineError("radius must be nonnegative")
-    n = mask.dim
     ext = []
-    for i in range(n):
+    for i, margin in enumerate(_mask_reach(mask)):
         bound = max(abs(v[i]) / w for v, w in zip(mask.vectors, mask.weights))
-        margin = max(abs(v[i]) for v in mask.vectors)
         ext.append(int(np.ceil(radius * bound)) + margin)
     dims = tuple(2 * e + 1 for e in ext)
     origin = tuple(-e for e in ext)

@@ -20,28 +20,15 @@ class LatticeError(ValueError):
 
 
 def int_det(columns) -> int:
-    """Exact determinant of a small square integer matrix given by columns."""
+    """Exact determinant of a 2x2 or 3x3 integer matrix given by columns."""
     n = len(columns)
-    if any(len(c) != n for c in columns):
-        raise LatticeError("determinant needs a square matrix")
-    if n == 1:
-        return columns[0][0]
+    if any(len(c) != n for c in columns) or n not in (2, 3):
+        raise LatticeError("determinant needs a 2x2 or 3x3 matrix")
     if n == 2:
         (a, c), (b, d) = columns
         return a * d - b * c
-    if n == 3:
-        (a, d, g), (b, e, h), (c, f, i) = columns
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # Cofactor expansion along the first row for larger sizes.
-    total = 0
-    for j in range(n):
-        minor = [
-            tuple(columns[k][i] for i in range(1, n))
-            for k in range(n)
-            if k != j
-        ]
-        total += (-1) ** j * columns[j][0] * int_det(minor)
-    return total
+    (a, d, g), (b, e, h), (c, f, i) = columns
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def cramer_coefficients(basis, point):
@@ -62,30 +49,19 @@ def cramer_coefficients(basis, point):
 
 
 def adjugate(columns):
-    """Adjugate (transposed cofactor matrix) of a small integer matrix.
+    """Adjugate (transposed cofactor matrix) of a 2x2 or 3x3 integer matrix.
 
     Returned as rows, so that ``adjugate(M) @ p = det(M) * M^-1 @ p``.
     """
-    n = len(columns)
-    if n == 3:  # rows b x c, c x a, a x b for columns a, b, c
-        return tuple(
-            (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-             u[0] * v[1] - u[1] * v[0])
-            for u, v in ((columns[1], columns[2]), (columns[2], columns[0]),
-                         (columns[0], columns[1])))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # adj[i][j] is the (j, i) cofactor: minor deletes row j, col i.
-            minor = [
-                tuple(columns[c][r] for r in range(n) if r != j)
-                for c in range(n)
-                if c != i
-            ]
-            row.append((-1) ** (i + j) * (int_det(minor) if minor else 1))
-        rows.append(tuple(row))
-    return tuple(rows)
+    if len(columns) == 2:  # columns (a, c), (b, d): rows (d, -b), (-c, a)
+        (a, c), (b, d) = columns
+        return ((d, -b), (-c, a))
+    # rows b x c, c x a, a x b for columns a, b, c
+    return tuple(
+        (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+         u[0] * v[1] - u[1] * v[0])
+        for u, v in ((columns[1], columns[2]), (columns[2], columns[0]),
+                     (columns[0], columns[1])))
 
 
 def batch_adjugate(rows):
@@ -129,6 +105,8 @@ class Lattice:
 
     def __post_init__(self):
         n = self.dim
+        if n not in (2, 3):
+            raise LatticeError(f"lattices are 2- or 3-dimensional, not {n}")
         if len(self.spacing) != n:
             raise LatticeError("spacing length must match dimension")
         if int_det(self.generators) == 0:

@@ -402,8 +402,8 @@ def _fan_scores(geometry: MaskGeometry, decomp: WedgeDecomposition, W,
 
 def _candidates(geometry: MaskGeometry, decomp: WedgeDecomposition,
                 max_weight: int):
-    """Weight tuples within the mediant bounds, primitive when there is
-    more than one class, as a (C, rows) int64 array built class by class."""
+    """Primitive weight tuples within the mediant bounds, as a (C, rows)
+    int64 array built class by class."""
     cols = [np.arange(1, max_weight + 1, dtype=np.int64)]
     constraints = _class_intervals(geometry, decomp)
     for c in range(1, geometry.num_classes):
@@ -418,8 +418,7 @@ def _candidates(geometry: MaskGeometry, decomp: WedgeDecomposition,
         start = np.cumsum(counts) - counts
         cols = [col[src] for col in cols] + [
             np.arange(len(src)) + (lo - start)[src]]
-    W = np.array(cols)
-    return W[:, functools.reduce(np.gcd, cols) == 1] if len(cols) > 1 else W
+    return np.array(cols)[:, functools.reduce(np.gcd, cols) == 1]
 
 
 def _search_table(geometry: MaskGeometry, max_weight: int):

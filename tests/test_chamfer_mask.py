@@ -17,7 +17,12 @@ from latticedt.chamfer_mask import (
     convexity_report,
 )
 from latticedt.dt_engine import GridImage, chamfer_two_scan
-from latticedt.lattice import cramer_coefficients, int_det, square_lattice
+from latticedt.lattice import (
+    cramer_coefficients,
+    int_det,
+    signed_permutation_orbit,
+    square_lattice,
+)
 from latticedt.presets import PRESET_NAMES, preset_geometry, preset_mask
 
 
@@ -332,3 +337,124 @@ def test_integral_float_weights_take_the_exact_closed_form():
     assert all(type(w) is int for w in spelled.mask.weights)
     assert spelled.closed_form_distance((0, 2)) == \
         exact.closed_form_distance((0, 2)) == 4
+
+
+def _submask_redundancy(mask):
+    """Reference redundancy test: rebuild the mask without each +-v pair
+    and evaluate the rebuilt mask's closed form at v.  Returns (offenders,
+    vectors whose sub-mask has no wedge fan or closed form)."""
+    out, unbuilt = [], []
+    seen = set()
+    for v, wv in zip(mask.vectors, mask.weights):
+        if v in seen:
+            continue
+        neg = tuple(-c for c in v)
+        seen.update((v, neg))
+        remaining = [(u, wu) for u, wu in zip(mask.vectors, mask.weights)
+                     if u not in (v, neg)]
+        if len(remaining) < 2 * mask.dim:
+            continue
+        try:
+            sub = build_wedges(ChamferMask.build(mask.lattice, remaining))
+            cost = sub.closed_form_distance(v)
+        except MaskError:
+            unbuilt += [v, neg]
+            continue
+        if cost <= wv:
+            out += [(v, None, cost, wv), (neg, None, cost, wv)]
+    return out, unbuilt
+
+
+def _assert_matches_submask_reference(mask):
+    decomp = build_wedges(mask)
+    verdict, offenders = convexity_report(decomp)
+    if verdict == "nonconvex":
+        return
+    reference, unbuilt = _submask_redundancy(mask)
+    assert verdict == ("degenerate" if offenders else "strict")
+    kept = [o for o in offenders if o[0] not in unbuilt]
+    assert kept == reference
+    assert [type(o[2]) for o in kept] == [type(o[2]) for o in reference]
+
+
+@pytest.mark.parametrize("preset", sorted(WEIGHT_TABLES))
+def test_redundancy_matches_submask_reference_on_published_rows(preset):
+    for weights, _, _ in WEIGHT_TABLES[preset][1]:
+        _assert_matches_submask_reference(preset_mask(preset, weights))
+
+
+def test_published_verdicts():
+    verdicts = [convexity_report(build_wedges(preset_mask(p, w)))[0]
+                for p, (_, rows) in WEIGHT_TABLES.items() for w, _, _ in rows]
+    assert {v: verdicts.count(v) for v in set(verdicts)} == {
+        "strict": 29, "degenerate": 9, "nonconvex": 9}
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_redundancy_matches_submask_reference_on_random_weights(preset):
+    # Weights near Euclidean lengths at small scales, where ties (and so
+    # degenerate masks) are common.
+    rng = np.random.default_rng(sorted(PRESET_NAMES).index(preset))
+    norms = preset_geometry(preset).class_norms()
+    for _ in range(6):
+        scale = rng.choice([1, 1.5, 2, 3, 5, 8])
+        weights = tuple(max(1, round(scale * x * rng.uniform(0.85, 1.2)))
+                        for x in norms)
+        try:
+            mask = preset_mask(preset, weights)
+            build_wedges(mask)
+        except MaskError:
+            continue
+        _assert_matches_submask_reference(mask)
+
+
+@pytest.mark.parametrize("preset,weights,gained,cost", [
+    # (2,0,0) = (1,1,1) + (1,-1,-1) at cost 2, its weight.
+    ("bcc4", (1, 2, 2, 3), (2, 0, 0), 2),
+    # (1,1) = (1,0) + (0,1) at cost 2, its weight.
+    ("z2-3", (1, 2, 3), (1, 1), 2),
+])
+def test_redundant_where_the_submask_has_no_fan(preset, weights, gained,
+                                                cost):
+    mask = preset_mask(preset, weights)
+    verdict, offenders = convexity_report(build_wedges(mask))
+    reference, unbuilt = _submask_redundancy(mask)
+    assert verdict == "degenerate"
+    orbit = set(signed_permutation_orbit(gained))
+    assert orbit <= set(unbuilt)
+    gained = [o for o in offenders if o not in reference]
+    assert sorted(gained) == sorted((v, None, cost, cost) for v in orbit)
+    assert [o for o in offenders if o in reference] == reference
+    # +-v pairs, in the order of their first vector in the mask.
+    assert [o[0] for o in offenders[1::2]] == [
+        tuple(-c for c in o[0]) for o in offenders[::2]]
+    firsts = [mask.vectors.index(o[0]) for o in offenders[::2]]
+    assert firsts == sorted(firsts)
+
+
+def test_redundancy_of_float_weights_uses_the_vertex_slack():
+    # z3-3 at (1, 2, 3) scaled by 0.7: in exact arithmetic the same
+    # vectors are redundant, although 0.7 + 0.7 != 1.4 in floats.
+    exact = convexity_report(build_wedges(preset_mask("z3-3", (1, 2, 3))))
+    scaled = convexity_report(build_wedges(preset_mask("z3-3",
+                                                       (0.7, 1.4, 2.1))))
+    assert exact[0] == scaled[0] == "degenerate"
+    assert [o[0] for o in scaled[1]] == [o[0] for o in exact[1]]
+    assert [o[2] for o in scaled[1]] == pytest.approx(
+        [0.7 * o[2] for o in exact[1]], rel=1e-12)
+
+
+def test_redundancy_reads_the_fan_only(monkeypatch):
+    import latticedt.chamfer_mask as cm
+    decomp = build_wedges(preset_mask("bcc4", (1, 2, 2, 3)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("redundancy rebuilt a mask, fan or hull")
+    for name in ("build_wedges", "hull_facets", "_build_wedges_2d",
+                 "_build_wedges_nd"):
+        monkeypatch.setattr(cm, name, refuse)
+    monkeypatch.setattr(cm.ChamferMask, "build", refuse)
+    monkeypatch.setattr(cm.WedgeDecomposition, "closed_form_distance",
+                        refuse)
+    verdict, offenders = convexity_report(decomp)
+    assert verdict == "degenerate" and len(offenders) == 42

@@ -110,7 +110,31 @@ def test_mask_check_nonconvex_exit_code(capsys):
     code, out, _ = run(capsys, "mask", "check", "--vectors", "fcc3",
                        "--weights", "11,16,19")
     assert code == 1
-    assert "convexity: nonconvex" in out
+    assert "convexity: nonconvex\n  vertex (-1, -1, -2): formula value 22 " \
+        "exceeds weight 19 (wedge 3)\n" in out
+
+
+def test_mask_check_degenerate_offenders(capsys):
+    code, out, _ = run(capsys, "mask", "check", "--vectors", "fcc3",
+                       "--weights", "2,3,4")
+    assert code == 0
+    assert "convexity: degenerate\n" \
+        "  vertex (-2, -1, -1): reached by other vectors at cost 4 " \
+        "(weight 4)\n" in out
+    assert "  vertex (2, 1, 1): reached by other vectors at cost 4 " \
+        "(weight 4)\n" in out
+    assert "exceeds" not in out and "(wedge" not in out
+    assert out.count("  vertex ") == 10
+    _, out, _ = run(capsys, "mask", "check", "--vectors", "z2-2",
+                    "--weights", "1000001,2000002")
+    assert "  vertex (1, 1): reached by other vectors at cost 2000002 " \
+        "(weight 2000002)\n" in out
+
+
+def test_weights_search_one_class_is_primitive(capsys):
+    code, out, _ = run(capsys, "weights", "search", "--vectors", "bcc1",
+                       "--max-weight", "3", "--all")
+    assert (code, out) == (0, "1 1.268 26.79\n")
 
 
 def test_mask_check_from_file(capsys):

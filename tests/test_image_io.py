@@ -19,6 +19,7 @@ from latticedt.image_io import (
 from latticedt.dt_engine import DistanceMap
 from latticedt.image_io import INF32
 from latticedt.lattice import (
+    LatticeError,
     bcc_lattice,
     cubic_lattice,
     custom_lattice,
@@ -117,6 +118,21 @@ def test_custom_lattice_header(tmp_path):
     back = read_image(p)
     assert back.lattice.generators == lat.generators
     assert np.array_equal(back.values, img.values)
+
+
+def test_four_dimensional_header_refused(tmp_path, capsys):
+    from latticedt.cli import main
+    p = tmp_path / "four.ldt"
+    p.write_text("LDT1\nlattice custom\n"
+                 "generators 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1\n"
+                 "dims 2 2 2 2\nspacing 1 1 1 1\ndata ascii\n"
+                 + " ".join("1" * 16) + "\n")
+    with pytest.raises(LatticeError, match="2- or 3-dimensional"):
+        read_image(p)
+    code = main(["dt", "--in", str(p), "--vectors", "z3-1", "--weights", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: lattices are 2- or 3-dimensional, not 4\n"
 
 
 def test_carved_image_has_no_file_form(tmp_path):

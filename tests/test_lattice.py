@@ -28,17 +28,36 @@ def test_int_det_small():
     assert int_det(((1, 2), (2, 4))) == 0
 
 
-@given(st.lists(st.tuples(ints, ints, ints), min_size=3, max_size=3))
-@settings(max_examples=100)
+@given(st.one_of(
+    st.lists(st.tuples(ints, ints), min_size=2, max_size=2),
+    st.lists(st.tuples(ints, ints, ints), min_size=3, max_size=3)))
+@settings(max_examples=200)
 def test_adjugate_inverts(cols):
     cols = [tuple(c) for c in cols]
+    n = len(cols)
     d = int_det(cols)
     adj = adjugate(cols)
     # adj @ M = det * I (columns of M are the input vectors)
-    for i in range(3):
-        for j in range(3):
-            got = sum(adj[i][k] * cols[j][k] for k in range(3))
+    for i in range(n):
+        for j in range(n):
+            got = sum(adj[i][k] * cols[j][k] for k in range(n))
             assert got == (d if i == j else 0)
+
+
+def test_only_2x2_and_3x3_matrices():
+    for cols in (((2,),), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                           (0, 0, 0, 1)), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(LatticeError):
+            int_det(cols)
+
+
+@pytest.mark.parametrize("gens", [
+    ((2,),),
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)),
+], ids=["1d", "4d"])
+def test_lattice_dimension_is_2_or_3(gens):
+    with pytest.raises(LatticeError, match="2- or 3-dimensional"):
+        custom_lattice("c", gens)
 
 
 @given(st.tuples(ints, ints, ints))

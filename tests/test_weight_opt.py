@@ -235,6 +235,13 @@ def test_search_one_class():
     assert rows[0].scale == pytest.approx(1.1716, abs=5e-4)
 
 
+@pytest.mark.parametrize("name", ["bcc1", "fcc1", "z2-1", "z3-1"])
+def test_search_one_class_is_primitive(name):
+    # (2) and (3) are multiples of (1), with the same error.
+    rows = search_integer_weights(preset_geometry(name), 3)
+    assert [r.weights for r in rows] == [(1,)]
+
+
 def test_anisotropic_spacing_changes_error():
     geom = preset_geometry("z2-2", spacing=(1.0, 2.0))
     iso = preset_geometry("z2-2")
