@@ -1,0 +1,105 @@
+"""Alternating parent/change runs of the benchmark, written as one JSON file.
+
+    python3 scripts/paired_bench.py --parent DIR --change DIR --out FILE \
+        [--pairs 10] [--seconds 32] [--seed 101] [--workloads volumes ...]
+
+DIR is the root of a checkout.  Pair i runs ``perfbench/run.py`` with
+seed ``--seed + i`` once in each checkout, the parent first on even i
+and the change first on odd i; the pairs of all workloads interleave.
+The file keeps the last JSON line of every run, the machine (``nproc``,
+Python and numpy versions), and per workload and end-to-end metric the
+median and quartiles of each side and the pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+import numpy as np
+
+
+def run_once(root, workload, seed, seconds):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                         check=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def quartiles(values):
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": med, "q3": q3}
+
+
+def summarize(runs, metrics):
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs = [r for r in runs if r["workload"] == workload]
+        rows = {}
+        for name, better in metrics.items():
+            side = {s: [p[s]["metrics"][name]["value"] for p in pairs]
+                    for s in ("parent", "change")}
+            sign = 1 if better == "higher" else -1
+            wins = sum(sign * (c - p) > 0
+                       for p, c in zip(side["parent"], side["change"]))
+            rows[name] = {"parent": quartiles(side["parent"]),
+                          "change": quartiles(side["change"]),
+                          "better": better, "change_wins": wins,
+                          "pairs": len(pairs)}
+        rows["failed"] = {s: [p[s]["failed"] for p in pairs]
+                          for s in ("parent", "change")}
+        summary[workload] = rows
+    return summary
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=32)
+    ap.add_argument("--seed", type=int, default=101)
+    ap.add_argument("--workloads", nargs="+",
+                    default=["volumes", "tables", "oracles"])
+    args = ap.parse_args(argv)
+    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        metrics = {m["name"]: m["better"]
+                   for m in json.load(f)["end_to_end"]}
+    roots = {"parent": args.parent, "change": args.change}
+    runs = []
+    for i in range(args.pairs):
+        for workload in args.workloads:
+            order = ("parent", "change") if i % 2 == 0 else \
+                ("change", "parent")
+            pair = {"workload": workload, "pair": i,
+                    "seed": args.seed + i, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(roots[side], workload, pair["seed"],
+                                      args.seconds)
+            runs.append(pair)
+            print(json.dumps({k: pair[k] for k in
+                              ("workload", "pair", "seed", "first")}),
+                  file=sys.stderr, flush=True)
+    result = {
+        "machine": {"nproc": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__},
+        "command": "perfbench/run.py --trace 0 --seconds "
+                   f"{args.seconds:g}",
+        "runs": runs,
+        "summary": summarize(runs, metrics),
+    }
+    with open(args.out, "w") as f:
+        json.dump(result, f, indent=1)
+        f.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -301,7 +301,7 @@ def _sub(a, b):
 
 
 def _integer_weights(mask: ChamferMask) -> bool:
-    return all(isinstance(w, numbers.Integral) for w in mask.weights)
+    return all(isinstance(w, (int, numbers.Integral)) for w in mask.weights)
 
 
 def hull_facets(mask: ChamferMask) -> tuple:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import numbers
 import sys
 
 import numpy as np
@@ -98,6 +99,14 @@ def _geometry(args):
     return geom
 
 
+def _exact(value):
+    """An offender value as text: integers and the rationals of integer
+    weights exactly (p/q when not whole), real weights to 12 digits."""
+    if isinstance(value, (numbers.Rational, np.integer)):
+        return str(value)
+    return f"{value:.12g}"
+
+
 def cmd_mask_check(args, out):
     mask = _load_mask(args)
     decomp = build_wedges(mask)
@@ -115,9 +124,9 @@ def cmd_mask_check(args, out):
     for v, idx, lhs, rhs in offenders[:10]:
         if idx is None:
             print(f"  vertex {v}: reached by other vectors at cost "
-                  f"{float(lhs):.12g} (weight {rhs})", file=out)
+                  f"{_exact(lhs)} (weight {rhs})", file=out)
         else:
-            print(f"  vertex {v}: formula value {float(lhs):g} exceeds "
+            print(f"  vertex {v}: formula value {_exact(lhs)} exceeds "
                   f"weight {rhs} (wedge {idx})", file=out)
     return 0 if verdict != "nonconvex" else 1
 

@@ -131,6 +131,15 @@ def test_mask_check_degenerate_offenders(capsys):
         "(weight 2000002)\n" in out
 
 
+def test_mask_check_prints_offender_values_exactly(capsys):
+    code, out, _ = run(capsys, "mask", "check", "--vectors", "z2-2",
+                       "--weights", "1000001,2500002")
+    assert code == 1
+    assert "  vertex (1, 0): formula value 1500001 exceeds weight 1000001 " \
+        "(wedge 4)\n" in out
+    assert "e+" not in out
+
+
 def test_weights_search_one_class_is_primitive(capsys):
     code, out, _ = run(capsys, "weights", "search", "--vectors", "bcc1",
                        "--max-weight", "3", "--all")

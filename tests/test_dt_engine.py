@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fixture_path, orbit_mask
+from scan_reference import order_supported_by
 from latticedt.chamfer_mask import ChamferMask, MaskError, build_wedges
 from latticedt.dt_engine import (
     EngineError,
@@ -11,7 +12,6 @@ from latticedt.dt_engine import (
     dijkstra_oracle,
     generate_ball,
     make_scan_plan,
-    order_supported_by,
     parallel_iterative_oracle,
     scan_order,
     validate_image,
@@ -33,16 +33,17 @@ def border_depth(mask):
 
 def test_choose_hyperplane_city_block():
     mask = orbit_mask(square_lattice(), [((1, 0), 1)])
-    a = make_scan_plan(mask).normal
+    plan = make_scan_plan(mask)
+    a = plan.normal
     assert all(sum(ai * vi for ai, vi in zip(a, v)) != 0
                for v in mask.vectors)
-    # no diagonal vectors, so the smallest N = 1 already works
-    assert a == (1, 1)
+    # the lexicographic split: half1 leads with a negative coordinate
+    assert sorted(v for v, _ in plan.half1) == [(-1, 0), (0, -1)]
+    assert sorted(v for v, _ in plan.half2) == [(0, 1), (1, 0)]
 
 
 def test_choose_hyperplane_one_dim_like():
-    # Any 2D mask without diagonal vectors admits N = 1... the (1,1)
-    # direction forces N = 2.
+    # N = reach + 1 = 2 orders (1, -1) with the vectors that lead with 1.
     mask = orbit_mask(square_lattice(), [((1, 0), 3), ((1, 1), 4)])
     assert make_scan_plan(mask).normal == (2, 1)
 
