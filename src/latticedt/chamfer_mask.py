@@ -7,9 +7,11 @@ wedge the fan formula is ``d(p) = sum_k alpha_k * w_k`` with integer
 coefficients ``alpha``, a linear form of p.  The chamfer distance of a
 norm is the max of finitely many integer linear forms divided by one
 common denominator: the wedge forms on a convex fan, the facet forms of
-the hull of {v / w} otherwise (the gauge of that polytope).  The exact
-geometry (containment while refining the fan, the convexity test and the
-closed form) is int64 array arithmetic on these forms.
+the hull of {v / w} otherwise (the gauge of that polytope).  Those forms
+are the vertices of the polar P* = {l : l . v <= w_v}; one enumeration
+(polar_candidates) serves the hull and the integer weight search.  The
+exact geometry (containment while refining the fan, the convexity test
+and the closed form) is int64 array arithmetic on these forms.
 """
 
 from __future__ import annotations
@@ -178,8 +180,8 @@ class WedgeDecomposition:
 
     @cached_property
     def hull(self) -> tuple:
-        """Facets of the convex hull of {v / w} (see hull_facets)."""
-        return hull_facets(self.mask)
+        """Facets of the convex hull of {v / w} (see polar_vertices)."""
+        return polar_vertices(self.mask)
 
     @cached_property
     def is_norm(self) -> bool:
@@ -304,49 +306,82 @@ def _integer_weights(mask: ChamferMask) -> bool:
     return all(isinstance(w, (int, numbers.Integral)) for w in mask.weights)
 
 
-def hull_facets(mask: ChamferMask) -> tuple:
-    """Facets of the convex hull of {v / w} for an integer-weight mask.
+def polar_candidates(lattice: Lattice, classes):
+    """(H, R, (perm, signs), subsets, adj, det) for P* = {l : l . v <= w_v}
+    over class weights w: constraints H l <= R w (see polar_vertices), the
+    signed permutations x -> (signs[g, i] * x[perm[g, i]]) that move their
+    vertices, and the n-subsets of rows that are bases, tight at l = adj @
+    b / det with det > 0."""
+    n, C = lattice.dim, len(classes)
+    perm, signs = map(np.array, zip(*itertools.product(
+        itertools.permutations(range(n)), itertools.product((1, -1),
+                                                            repeat=n))))
+    gens = np.array(lattice.generators)[:, perm] * signs
+    if not (gens @ np.array(lattice._adjugate).T % lattice.covolume).any() \
+            and all(set(c) == set(map(tuple, (np.array(c[0])[perm]
+                                              * signs).tolist()))
+                    for c in classes):
+        walls = np.eye(n, k=1, dtype=np.int64) - np.eye(n, dtype=np.int64)
+        H = np.vstack([walls, [sorted(map(abs, c[0]), reverse=True)
+                               for c in classes]])
+        R = np.eye(n + C, C, k=-n, dtype=np.int64)
+    else:
+        H = np.array([v for c in classes for v in c], dtype=np.int64)
+        R = np.repeat(np.eye(C, dtype=np.int64), list(map(len, classes)),
+                      axis=0)
+        perm, signs = perm[:1], signs[:1]
+    subsets = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(len(H)), n)), np.intp).reshape(-1, n)
+    adj, det = batch_adjugate(H[subsets])
+    adj *= np.sign(det)[:, None, None]
+    keep = det != 0
+    return H, R, (perm, signs), subsets[keep], adj[keep], np.abs(det[keep])
 
-    A facet plane l . x = 1 passes through n independent vertices v / w
-    and has l . v <= w_v for every mask vector.  The n-subsets of the
-    vectors are tried in blocks in exact int64 arithmetic (l * |det| is an
-    integer vector); subsets with the same tight set give the same facet.
+
+def polar_vertices(mask: ChamferMask) -> tuple:
+    """Facets of the convex hull of {v / w} for an integer-weight mask: the
+    vertices l of P* = {l : l . v <= w_v}, one HullFacet each.
+
+    When the vectors, grouped by orbit and weight, are full signed-
+    permutation orbits and the permutations preserve the lattice, P* is
+    symmetric and the chamber l_1 >= ... >= l_n >= 0 holds one image of
+    each vertex.  There an orbit's largest l . u is at its sorted absolute
+    representative (rearrangement inequality), so the vertices of P* n
+    chamber are the n-subsets of the walls and representatives that meet
+    every constraint (exact int64 arithmetic).  Such a vertex is one of
+    P* iff its tight mask vectors have rank n (the others lie on a wall
+    and are dropped), and the images of those under the permutations are
+    all the vertices of P*; each orbit's linearity is proved once.
+    Otherwise every mask vector is its own constraint.
     """
     if not _integer_weights(mask):
         raise MaskError("the convex hull of {v / w} needs integer weights")
-    n = mask.dim
+    classes = {}
+    for v, w in zip(mask.vectors, mask.weights):
+        classes.setdefault((tuple(sorted(map(abs, v))), w), []).append(v)
+    H, R, (perm, signs), subsets, adj, det = polar_candidates(
+        mask.lattice, list(map(tuple, classes.values())))
+    b = R @ np.array([w for _, w in classes], dtype=np.int64)
+    num = np.einsum("tij,tj->ti", adj, b[subsets])
+    for h, bh in zip(H, b.tolist()):  # one row at a time: T x len(H)
+        feasible = num @ h <= det * bh  # is large for fallback masks
+        num, det = num[feasible], det[feasible]
     V = np.array(mask.vectors, dtype=np.int64)
     w = np.array(mask.weights, dtype=np.int64)
-    # The vertices v / w farthest out reject most subsets: test them first.
-    probe = np.argsort(-(V * V).sum(axis=1) / w / w, kind="stable")[:4 * n]
-    combos = itertools.combinations(range(len(V)), n)
-    facets = {}
-    while True:
-        subsets = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, 8192)),
-            dtype=np.intp).reshape(-1, n)
-        if len(subsets) == 0:
-            break
-        adj, det = batch_adjugate(V[subsets])
-        keep = det != 0
-        subsets, adj, det = subsets[keep], adj[keep], det[keep]
-        num = np.einsum("tij,tj->ti", adj, w[subsets]) * np.sign(det)[:, None]
-        det = np.abs(det)
-        ok = np.all(num @ V[probe].T <= det[:, None] * w[probe], axis=1)
-        num, det = num[ok], det[ok]
-        lhs = num @ V.T
-        rhs = det[:, None] * w[None, :]
-        for t in np.flatnonzero(np.all(lhs <= rhs, axis=1)).tolist():
-            tight = tuple(np.flatnonzero(lhs[t] == rhs[t]).tolist())
-            if tight in facets:
-                continue
-            g = math.gcd(*num[t].tolist(), int(det[t]))
-            form = tuple(x // g for x in num[t].tolist())
-            vecs = tuple(mask.vectors[i] for i in tight)
-            facets[tight] = HullFacet(form, int(det[t]) // g, vecs,
-                                      cone_is_linear(mask.lattice, vecs,
-                                                     form))
-    return tuple(facets.values())
+    tight = (num @ V.T == det[:, None] * w).astype(np.int64)
+    gram = np.einsum("tj,ji,jk->tik", tight, V, V)  # det 0 iff rank < n
+    lw = np.column_stack([num, det])[batch_adjugate(gram)[1] != 0]
+    facets = []
+    for *form, denom in dict.fromkeys(map(tuple, (lw // np.gcd.reduce(
+            lw, axis=1)[:, None]).tolist())):
+        images = np.array(list(dict.fromkeys(
+            map(tuple, (np.array(form)[perm] * signs).tolist()))))
+        on = [tuple(mask.vectors[j] for j in np.flatnonzero(row))
+              for row in images @ V.T == denom * w]
+        flat = cone_is_linear(mask.lattice, on[0], form)  # the chamber
+        facets += [HullFacet(l, denom, vecs, flat)
+                   for l, vecs in zip(map(tuple, images.tolist()), on)]
+    return tuple(facets)
 
 
 def _reachable(start, gens, step):

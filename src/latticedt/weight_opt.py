@@ -38,8 +38,9 @@ from .chamfer_mask import (
     WedgeDecomposition,
     build_wedges,
     cone_is_linear,
+    polar_candidates,
 )
-from .lattice import Lattice, batch_adjugate, signed_permutation_orbit
+from .lattice import Lattice
 
 
 def _cone_projection_max(l_phys, gens_phys, eps=1e-12):
@@ -267,36 +268,6 @@ def _wedge_quadratics(geometry: MaskGeometry, decomp: WedgeDecomposition,
     return pairs
 
 
-def _hull_constraints(geometry: MaskGeometry):
-    """Constraints (H, R) with H l <= R w whose vertices cover the hull
-    facet forms of every weight tuple w, plus the coordinate permutations
-    that carry them to all facet forms.
-
-    The facet forms are the vertices of P* = {l : l . v <= w_v}.  When every
-    class is a full signed-permutation orbit, P* is symmetric and each
-    vertex has an image in the chamber l_1 >= ... >= l_n >= 0, where a
-    class's constraints reduce to that of its sorted absolute
-    representative (rearrangement inequality).  Otherwise every mask
-    vector is its own constraint, which is exact but far slower.
-    """
-    n, C = geometry.dim, geometry.num_classes
-    if all(set(orbit) == set(signed_permutation_orbit(orbit[0]))
-           for orbit in geometry.classes):
-        walls = [tuple(int(j == i + 1) - int(j == i) for j in range(n))
-                 for i in range(n - 1)]
-        walls.append(tuple(-int(j == n - 1) for j in range(n)))
-        reps = [tuple(sorted((abs(c) for c in orbit[0]), reverse=True))
-                for orbit in geometry.classes]
-        rhs = [(0,) * C] * n + [tuple(int(j == c) for j in range(C))
-                                for c in range(C)]
-        return (np.array(walls + reps), np.array(rhs),
-                list(itertools.permutations(range(n))))
-    cls = geometry.class_of()
-    vecs = [v for orbit in geometry.classes for v in orbit]
-    rhs = [tuple(int(j == cls[v]) for j in range(C)) for v in vecs]
-    return np.array(vecs), np.array(rhs), [tuple(range(n))]
-
-
 def _pattern_ids(bits):
     """Integers that are equal exactly where the columns of the (K, m) bool
     array are."""
@@ -313,29 +284,26 @@ def _hull_scores(geometry: MaskGeometry, W, spacing):
     """Per weight column of W (C, rows): (is the mask a norm, squared hull
     rho_max).
 
-    Each n-subset of constraints is a candidate vertex l = M w / |det|.
+    Each basis of polar_candidates is a candidate vertex l = M w / det.
     A row is scored on the feasible candidates; its norm test needs the
     tight mask vectors of each, which the pattern of tight constraints
     determines, so each (candidate, pattern) is checked exactly once on
     one representative row.
     """
-    H, R, perms = _hull_constraints(geometry)
-    n = geometry.dim
+    H, R, group, subsets, adj, det = polar_candidates(geometry.lattice,
+                                                      geometry.classes)
+    perms = dict.fromkeys(map(tuple, group[0].tolist()))
     sp = np.asarray(spacing, dtype=float)
     cls = geometry.class_of()
     vecs = [v for orbit in geometry.classes for v in orbit]
     V = np.array(vecs)
     vcls = np.array([cls[v] for v in vecs])
-    subsets = np.array(list(itertools.combinations(range(len(H)), n)))
-    adj, det = batch_adjugate(H[subsets])
     linear = {}
     rho2 = np.zeros(W.shape[1])
     norm = np.ones(W.shape[1], dtype=bool)
-    for sub, a, d in zip(subsets, adj, det):
-        if d == 0:
-            continue
-        M = a @ R[sub] * np.sign(d)           # l * |d| = M w
-        G = H @ M - abs(d) * R                # feasible iff G w <= 0
+    for sub, a, d in zip(subsets, adj, det.tolist()):
+        M = a @ R[sub]                        # l * d = M w
+        G = H @ M - d * R                     # feasible iff G w <= 0
         G = G[np.any(G != 0, axis=1)]         # the rest are always tight
         feas = np.ones(W.shape[1], dtype=bool)
         for g in G:
@@ -347,7 +315,7 @@ def _hull_scores(geometry: MaskGeometry, W, spacing):
         L = M @ Wr
         # |l / spacing|^2 of every image of l under the permutations,
         # each summed in coordinate order; equal spacings share terms.
-        squares = {s: [(Lj / (abs(d) * s)) ** 2 for Lj in L]
+        squares = {s: [(Lj / (d * s)) ** 2 for Lj in L]
                    for s in set(sp.tolist())}
         terms = [squares[s] for s in sp.tolist()]
         r2 = functools.reduce(np.maximum, (
@@ -361,7 +329,7 @@ def _hull_scores(geometry: MaskGeometry, W, spacing):
             lw = L[:, i]
             wr = Wr[:, i]
             tight = tuple(vecs[j] for j in np.flatnonzero(
-                V @ lw == abs(d) * wr[vcls]))
+                V @ lw == d * wr[vcls]))
             if tight not in linear:
                 linear[tight] = cone_is_linear(
                     geometry.lattice, tight, tuple(int(x) for x in lw))

@@ -450,7 +450,7 @@ def test_redundancy_reads_the_fan_only(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("redundancy rebuilt a mask, fan or hull")
-    for name in ("build_wedges", "hull_facets", "_build_wedges_2d",
+    for name in ("build_wedges", "polar_vertices", "_build_wedges_2d",
                  "_build_wedges_nd"):
         monkeypatch.setattr(cm, name, refuse)
     monkeypatch.setattr(cm.ChamferMask, "build", refuse)
