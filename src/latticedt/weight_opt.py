@@ -408,7 +408,9 @@ def _search_table(geometry: MaskGeometry, max_weight: int):
 
     error = (rho_max - rho_min) / (rho_max + rho_min)
     scale = 2.0 / (rho_max + rho_min)
-    order = np.lexsort((*W[::-1], error, W.max(axis=0)))
+    # Errors equal to 12 decimals (the margin of _pareto_index) are ties,
+    # ordered by weights rather than by float noise.
+    order = np.lexsort((*W[::-1], np.round(error, 12), W.max(axis=0)))
     return W[:, order], scale[order], error[order]
 
 
@@ -423,8 +425,8 @@ def search_integer_weights(geometry: MaskGeometry, max_weight: int):
     max_relative_error scores its mask: on the hull of {v / w} when the
     mask induces a norm (whether or not the fan is convex for it), on the
     wedge fan otherwise.  Every scoring pass runs over whole weight
-    columns.  Returns WeightRow objects sorted by (max weight, error,
-    weights).
+    columns.  Returns WeightRow objects sorted by (max weight, error to 12
+    decimals, weights).
     """
     W, scale, error = _search_table(geometry, max_weight)
     return list(map(WeightRow, zip(*W.tolist()), scale.tolist(),

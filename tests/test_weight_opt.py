@@ -11,6 +11,7 @@ from latticedt.weight_opt import (
     MaskGeometry,
     WeightRow,
     _pattern_ids,
+    _search_table,
     max_relative_error,
     optimize_real_weights,
     pareto_front,
@@ -148,17 +149,20 @@ def test_search_matches_direct_evaluation_without_symmetry():
 
 
 def test_search_without_symmetry_pinned():
-    # The rows of the geometry above at bound 5, as the search gave them
-    # before it scored whole weight columns (sha256 of one line per row).
+    # The rows of the geometry above at bound 5 (sha256 of one line per
+    # row): as a set, as the search gave them before it scored whole weight
+    # columns; in order, with ties in error sorted by weights.
     geom = MaskGeometry(square_lattice(), (
         ((1, 0), (-1, 0)), ((0, 1), (0, -1)),
         ((1, 1), (-1, -1)), ((1, -1), (-1, 1))))
     rows = search_integer_weights(geom, 5)
-    text = "".join(",".join(map(str, r.weights))
-                   + f",{r.scale:.10f},{r.error:.10f}\n" for r in rows)
+    lines = [",".join(map(str, r.weights))
+             + f",{r.scale:.10f},{r.error:.10f}\n" for r in rows]
     assert len(rows) == 607
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "707465e80986eb05e584b208fe5093a9bd843f73e3dd29d0ea55493d711be2e9")
+    assert hashlib.sha256("".join(sorted(lines)).encode()).hexdigest() == (
+        "e81a9e2e63c22cfb5ce56e5ac02e0ea8e297e8ed569d673b6e287f4b17df3410")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "39b6bc78681340ec15dbd658683299bac5ac9e8a8f863998b8327ef56023366d")
 
 
 def test_search_rows_are_plain_python_values():
@@ -168,6 +172,17 @@ def test_search_rows_are_plain_python_values():
                for r in rows)
     keys = [(r.max_weight, r.error, r.weights) for r in rows]
     assert keys == sorted(keys)
+
+
+def test_search_ties_come_in_weight_order():
+    # fcc4 at 30 has 482 adjacent pairs whose errors differ by float noise
+    # (below 1e-12, the pareto margin); all ties sort by weights.
+    W, _, error = _search_table(preset_geometry("fcc4"), 30)
+    top = W.max(axis=0)
+    ties = np.flatnonzero((np.abs(np.diff(error)) < 1e-12)
+                          & (top[1:] == top[:-1]))
+    assert np.count_nonzero(np.diff(error)[ties]) > 400
+    assert all(tuple(W[:, i]) < tuple(W[:, i + 1]) for i in ties.tolist())
 
 
 def test_search_empty_bound_has_no_rows():
