@@ -48,7 +48,6 @@ from .weight_opt import (
     optimize_real_weights,
     pareto_front,
     search_integer_weights,
-    wedge_ratio_max,
 )
 
 __version__ = "0.1.0"

@@ -20,19 +20,13 @@ import heapq
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .lattice import (
-    Lattice,
-    adjugate,
-    batch_adjugate,
-    cramer_coefficients,
-    int_det,
-)
+from .lattice import Lattice, adjugate, batch_adjugate, int_det
 
 
 class MaskError(ValueError):
@@ -79,15 +73,16 @@ class ChamferMask:
 
     @classmethod
     def build(cls, lattice, entries) -> "ChamferMask":
+        entries = list(entries)
+        # Before the closure, where a NaN would read as a conflict.
+        if not all(0 < w < math.inf for _, w in entries):
+            raise MaskError("weights must be finite and positive")
         table = central_closure(entries)
         for v in table:
             if len(v) != lattice.dim:
                 raise MaskError(f"vector {v} has wrong dimension")
             if not lattice.member(v):
                 raise MaskError(f"vector {v} is not a lattice point")
-        for w in table.values():
-            if not w > 0:
-                raise MaskError("weights must be positive")
         # An integral weight spelled as a float (5.0) is the integer, so
         # the mask takes the exact path whichever way it was written.
         weights = tuple(int(w) if isinstance(w, numbers.Real)
@@ -107,26 +102,6 @@ class Wedge:
 
     vectors: tuple
     weights: tuple
-    det: int = field(default=0)
-
-    def __post_init__(self):
-        if self.det == 0:
-            object.__setattr__(self, "det", int_det(self.vectors))
-
-    def coefficients(self, point):
-        """Exact coordinates of ``point`` in the generator basis."""
-        return cramer_coefficients(self.vectors, point)
-
-    def linear_form(self, spacing=None):
-        """The vector l with l . v_k = w_k for every generator (as floats,
-        in physical coordinates if ``spacing`` is given)."""
-        # M^T l = w for M with the generators as columns: l = adj(M)^T w / det.
-        adj = adjugate(self.vectors)
-        form = [sum(row[i] * w for row, w in zip(adj, self.weights)) / self.det
-                for i in range(len(self.vectors))]
-        if spacing is not None:
-            form = [f / s for f, s in zip(form, spacing)]
-        return tuple(float(f) for f in form)
 
 
 @dataclass(frozen=True)
@@ -137,16 +112,6 @@ class WedgeDecomposition:
     mask: ChamferMask
     wedges: tuple
     splits: tuple  # ((child_vector, ((parent_vector, coeff), ...)), ...)
-
-    def locate(self, point):
-        """Lowest-index wedge whose closed cone contains ``point``,
-        with the exact coefficients.  Raises MaskError if none matches
-        (impossible for a complete fan and a lattice point)."""
-        for idx, w in enumerate(self.wedges):
-            co = w.coefficients(point)
-            if all(c >= 0 for c in co):
-                return idx, w, co
-        raise MaskError(f"no wedge contains {point}")
 
     @cached_property
     def wedge_forms(self):

@@ -88,8 +88,6 @@ def _header_lattice(fields):
     spacing = tuple(float(t) for t in fields["spacing"].split())
     if any(d <= 0 for d in dims):
         raise FormatError("dims must be positive")
-    if any(s <= 0 for s in spacing):
-        raise FormatError("spacing must be positive")
     if len(dims) != len(spacing):
         raise FormatError("dims and spacing length mismatch")
     lat_id = fields["lattice"]

@@ -11,7 +11,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 
@@ -29,23 +28,6 @@ def int_det(columns) -> int:
         return a * d - b * c
     (a, d, g), (b, e, h), (c, f, i) = columns
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def cramer_coefficients(basis, point):
-    """Coordinates of ``point`` in ``basis`` as exact Fractions.
-
-    ``basis`` is a sequence of n integer n-vectors (columns).  Raises
-    LatticeError if the basis is singular.
-    """
-    d0 = int_det(basis)
-    if d0 == 0:
-        raise LatticeError("singular basis")
-    coeffs = []
-    for k in range(len(basis)):
-        replaced = list(basis)
-        replaced[k] = tuple(point)
-        coeffs.append(Fraction(int_det(replaced), d0))
-    return tuple(coeffs)
 
 
 def adjugate(columns):
@@ -109,6 +91,9 @@ class Lattice:
             raise LatticeError(f"lattices are 2- or 3-dimensional, not {n}")
         if len(self.spacing) != n:
             raise LatticeError("spacing length must match dimension")
+        if not all(0 < s < math.inf for s in self.spacing):
+            raise LatticeError(f"spacing must be finite and positive, not "
+                               f"{self.spacing}")
         if int_det(self.generators) == 0:
             raise LatticeError("lattice generators are linearly dependent")
 

@@ -18,6 +18,16 @@ of the convex hull of {v / w}, and rho_max is the largest |l_F| over its
 facet forms, whatever the fan.  A mask that is not a norm is scored on
 its wedge fan.
 
+The fan's rho_max is scored face by face (_fan_rho2).  The maximum of
+l . p / |p| over a cone is |l'|, l' the projection of l onto the cone,
+which lies in the relative interior of some face S (a subset of the
+generators).  Since l . u = w_u for u in S, the projection onto span(S)
+has coordinates t = G_S^-1 w_S and squared length w_S^T G_S^-1 w_S, with
+G_S the Gram matrix of S: both depend on the face and its weights alone,
+not on the wedge.  So
+
+  rho_max^2 = max over distinct faces S with t >= 0 of  w_S^T G_S^-1 w_S.
+
 All lengths are physical: grid coordinates scaled per-axis by the lattice
 spacing.
 """
@@ -34,45 +44,12 @@ import numpy as np
 
 from .chamfer_mask import (
     ChamferMask,
-    Wedge,
     WedgeDecomposition,
     build_wedges,
     cone_is_linear,
     polar_candidates,
 )
 from .lattice import Lattice
-
-
-def _cone_projection_max(l_phys, gens_phys, eps=1e-12):
-    """Maximum of (l . p) / |p| over the cone spanned by ``gens_phys``.
-
-    Equals the norm of the projection of l onto the cone: enumerate faces
-    (generator subsets), project l onto each span, keep projections whose
-    cone coordinates are nonnegative.
-    """
-    n = len(gens_phys)
-    best = 0.0
-    for r in range(1, n + 1):
-        for subset in itertools.combinations(range(n), r):
-            U = np.array([gens_phys[k] for k in subset], dtype=float)
-            G = U @ U.T
-            b = U @ np.asarray(l_phys, dtype=float)
-            try:
-                t = np.linalg.solve(G, b)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(t >= -eps):
-                val2 = float(t @ b)
-                if val2 > best:
-                    best = val2
-    return math.sqrt(max(best, 0.0))
-
-
-def wedge_ratio_max(wedge: Wedge, spacing) -> float:
-    """Maximum chamfer/Euclidean ratio over one wedge's cone."""
-    l = wedge.linear_form(spacing)
-    gens = [tuple(s * c for s, c in zip(spacing, v)) for v in wedge.vectors]
-    return _cone_projection_max(l, gens)
 
 
 @dataclass(frozen=True)
@@ -101,7 +78,8 @@ def max_relative_error(decomp: WedgeDecomposition) -> ErrorStats:
     distance, the max of the linear forms l = row / denom that
     WedgeDecomposition._gauge picks (the wedge forms on a convex fan, the
     hull facet forms otherwise): rho_max = max |l|.  A mask that is not a
-    norm, or has non-integer weights, is scored on the wedge fan's formula.
+    norm, or has non-integer weights, is scored on the wedge fan's formula
+    (_fan_rho2, with the distinct weights as classes).
     """
     mask = decomp.mask
     lattice = mask.lattice
@@ -113,9 +91,71 @@ def max_relative_error(decomp: WedgeDecomposition) -> ErrorStats:
                                     for c, s in zip(row, lattice.spacing)))
                       for row in forms.tolist())
     else:
-        rho_max = max(wedge_ratio_max(w, lattice.spacing)
-                      for w in decomp.wedges)
+        levels = sorted(set(mask.weights))
+        rank = {w: c for c, w in enumerate(levels)}
+        class_of = {v: rank[w] for v, w in zip(mask.vectors, mask.weights)}
+        rho_max = math.sqrt(_fan_rho2(
+            decomp, class_of, np.array(levels, dtype=float)[:, None])[0])
     return ErrorStats(rho_min, rho_max)
+
+
+def _row_ids(x):
+    """(ids, first) for the rows of the 2D array x: ids equal exactly where
+    rows are equal, numbered in sorted row order, and the index of the
+    first row of each id."""
+    order = np.lexsort(x.T[::-1])
+    xs = x[order]
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = (xs[1:] != xs[:-1]).any(axis=1)
+    ids = np.empty(len(x), dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+def _fan_rho2(decomp: WedgeDecomposition, class_of, W, wanted=True):
+    """Squared fan rho_max of each weight column of W (C, rows) where
+    ``wanted``, 0 elsewhere; ``class_of`` maps each mask vector to its row
+    of W (the fan depends on the vectors only).
+
+    Each distinct face S (a generator subset of some wedge, as a vector
+    set) gives, for its one-hot class rows P, the matrices R = G_S^-1 P
+    and Q = P^T R: its coordinates are R w and its squared length w^T Q w
+    (see the module docstring), one batched solve per face size.  Faces
+    with equal Q and equal rows of R are scored once, and each distinct
+    coordinate row is tested once over all columns, as column products.
+    """
+    sp = np.asarray(decomp.mask.lattice.spacing, dtype=float)
+    wedges = [sorted(wd.vectors) for wd in decomp.wedges]
+    V = np.array(wedges, dtype=np.int64)                        # (K, n, n)
+    cls = np.array([[class_of[v] for v in w] for w in wedges])  # (K, n)
+    n, C = len(sp), len(W)
+    Qs, Rs = [], []
+    for r in range(1, n + 1):
+        sub = list(itertools.combinations(range(n), r))
+        faces = V[:, sub].reshape(-1, r * n)
+        first = _row_ids(faces)[1]                   # distinct vector sets
+        U = faces[first].reshape(-1, r, n) * sp
+        P = np.eye(C)[cls[:, sub].reshape(-1, r)[first]]        # (F, r, C)
+        R = np.linalg.solve(U @ U.transpose(0, 2, 1), P)
+        Qs.append(P.transpose(0, 2, 1) @ R)
+        Rs.append(np.pad(R, ((0, 0), (0, n - r), (0, 0))))  # 0 rows hold
+    Q, R = np.concatenate(Qs), np.concatenate(Rs).reshape(-1, C)
+    row_of, first = _row_ids(R)
+    ids = np.sort(row_of.reshape(len(Q), n), axis=1)
+    keep = _row_ids(np.hstack([Q.reshape(len(Q), -1).view(np.int64), ids]))[1]
+    Wc = W.astype(float)
+    ok = [sum(c * w for c, w in zip(row, Wc) if c) >= -1e-9
+          for row in R[first]]
+    Wf = np.ascontiguousarray(Wc.T)
+    rho2 = np.zeros(W.shape[1])
+    for q, face in zip(Q[keep], ids[keep].tolist()):
+        rows = np.flatnonzero(functools.reduce(
+            operator.and_, [ok[k] for k in face], wanted))
+        if len(rows):
+            Wr = Wf[rows]
+            rho2[rows] = np.maximum(rho2[rows],
+                                    np.einsum("mc,cd,md->m", Wr, q, Wr))
+    return rho2
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +224,9 @@ def optimize_real_weights(geometry: MaskGeometry) -> RealWeightOptimum:
     which is optimal for this geometry.  Returns one weight per class.
     """
     norms = geometry.class_norms()
-    decomp = build_wedges(geometry.mask_with(norms))
-    rho_star = max(wedge_ratio_max(w, geometry.lattice.spacing)
-                   for w in decomp.wedges)
+    rho_star = math.sqrt(_fan_rho2(geometry.reference_decomposition(),
+                                   geometry.class_of(),
+                                   np.array(norms)[:, None])[0])
     factor = 2.0 / (1.0 + rho_star)
     return RealWeightOptimum(tuple(factor * n for n in norms), rho_star)
 
@@ -230,44 +270,6 @@ def _class_intervals(geometry: MaskGeometry, decomp: WedgeDecomposition):
     return constraints
 
 
-def _wedge_quadratics(geometry: MaskGeometry, decomp: WedgeDecomposition,
-                      spacing):
-    """Precompute, per (wedge, generator subset), the matrices that turn a
-    class-weight vector w into the squared cone-face ratio w^T Q w and the
-    face coordinates R w (valid iff R w >= 0)."""
-    cls = geometry.class_of()
-    n = geometry.dim
-    C = geometry.num_classes
-    sp = np.asarray(spacing, dtype=float)
-    pairs = []
-    seen = set()
-    for wd in decomp.wedges:
-        M = np.array(wd.vectors, dtype=float).T  # grid columns
-        P = np.zeros((n, C))
-        for k, v in enumerate(wd.vectors):
-            P[k, cls[v]] = 1.0
-        # l_phys = diag(1/s) M^-T P w
-        L = (np.linalg.solve(M.T, P).T / sp).T
-        U_all = (M * sp[:, None]).T  # rows are physical generators
-        for r in range(1, n + 1):
-            for subset in itertools.combinations(range(n), r):
-                U = U_all[list(subset)]
-                G = U @ U.T
-                B = U @ L
-                try:
-                    R = np.linalg.solve(G, B)
-                except np.linalg.LinAlgError:
-                    continue
-                Q = B.T @ R
-                key = (np.round(Q, 10).tobytes(),
-                       np.round(np.sort(np.round(R, 10), axis=0), 10).tobytes())
-                if key in seen:
-                    continue
-                seen.add(key)
-                pairs.append((Q, R))
-    return pairs
-
-
 def _pattern_ids(bits):
     """Integers that are equal exactly where the columns of the (K, m) bool
     array are."""
@@ -280,7 +282,7 @@ def _pattern_ids(bits):
     return ids.astype(np.uint16) if len(bits) <= 16 else ids
 
 
-def _hull_scores(geometry: MaskGeometry, W, spacing):
+def _hull_scores(geometry: MaskGeometry, W):
     """Per weight column of W (C, rows): (is the mask a norm, squared hull
     rho_max).
 
@@ -293,7 +295,7 @@ def _hull_scores(geometry: MaskGeometry, W, spacing):
     H, R, group, subsets, adj, det = polar_candidates(geometry.lattice,
                                                       geometry.classes)
     perms = dict.fromkeys(map(tuple, group[0].tolist()))
-    sp = np.asarray(spacing, dtype=float)
+    sp = np.asarray(geometry.lattice.spacing, dtype=float)
     cls = geometry.class_of()
     vecs = [v for orbit in geometry.classes for v in orbit]
     V = np.array(vecs)
@@ -338,36 +340,6 @@ def _hull_scores(geometry: MaskGeometry, W, spacing):
     return norm, rho2
 
 
-def _fan_scores(geometry: MaskGeometry, decomp: WedgeDecomposition, W,
-                wanted):
-    """Squared fan rho_max of the weight columns of W (C, rows) where
-    ``wanted``, 0 elsewhere.
-
-    A face's quadratic w^T Q w counts where its coordinates R w are
-    nonnegative.  Faces share coordinate rows, so each distinct row is
-    tested once, with column products rather than a matmul.
-    """
-    pairs = _wedge_quadratics(geometry, decomp, geometry.lattice.spacing)
-    rho2 = np.zeros(W.shape[1])
-    coords, which = np.unique(np.concatenate([R for _, R in pairs]),
-                              axis=0, return_inverse=True)
-    Wc = W.astype(float)
-    ok = [sum(r * w for r, w in zip(row, Wc) if r) >= -1e-9
-          for row in coords]
-    Wf = np.ascontiguousarray(W.T, dtype=float)
-    which = which.ravel()
-    bounds = np.cumsum([0] + [len(R) for _, R in pairs])
-    for (Q, _), lo, hi in zip(pairs, bounds, bounds[1:]):
-        valid = functools.reduce(operator.and_, [ok[k] for k in which[lo:hi]],
-                                 wanted)
-        rows = np.flatnonzero(valid)
-        if len(rows):
-            Wr = Wf[rows]
-            rho2[rows] = np.maximum(rho2[rows],
-                                    np.einsum("mc,cd,md->m", Wr, Q, Wr))
-    return rho2
-
-
 def _candidates(geometry: MaskGeometry, decomp: WedgeDecomposition,
                 max_weight: int):
     """Primitive weight tuples within the mediant bounds, as a (C, rows)
@@ -392,7 +364,6 @@ def _candidates(geometry: MaskGeometry, decomp: WedgeDecomposition,
 def _search_table(geometry: MaskGeometry, max_weight: int):
     """The scored search as sorted columns: weights (C, rows) int64,
     scale and error; see search_integer_weights."""
-    sp = geometry.lattice.spacing
     decomp = geometry.reference_decomposition()
     W = _candidates(geometry, decomp, max_weight)
     # Smallest vertex ratio per tuple: within a class the ratio is smallest
@@ -402,8 +373,8 @@ def _search_table(geometry: MaskGeometry, max_weight: int):
     rho_min = functools.reduce(np.minimum, [w / m for w, m
                                             in zip(W, max_norms)])
 
-    norm, hull_rho2 = _hull_scores(geometry, W, sp)
-    fan_rho2 = _fan_scores(geometry, decomp, W, ~norm)
+    norm, hull_rho2 = _hull_scores(geometry, W)
+    fan_rho2 = _fan_rho2(decomp, geometry.class_of(), W, ~norm)
     rho_max = np.sqrt(np.where(norm, hull_rho2, fan_rho2))
 
     error = (rho_max - rho_min) / (rho_max + rho_min)

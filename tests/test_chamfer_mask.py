@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import orbit_mask
+from fan_reference import cramer_coefficients, locate
 from test_acceptance import WEIGHT_TABLES
 from latticedt.chamfer_mask import (
     ChamferMask,
@@ -18,7 +19,6 @@ from latticedt.chamfer_mask import (
 )
 from latticedt.dt_engine import GridImage, chamfer_two_scan
 from latticedt.lattice import (
-    cramer_coefficients,
     int_det,
     signed_permutation_orbit,
     square_lattice,
@@ -49,6 +49,13 @@ def test_mask_rejects_nonpositive_weights():
         ChamferMask.build(square_lattice(), [((1, 0), 0)])
 
 
+@pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+def test_mask_rejects_nonfinite_weights(weight):
+    # Refused before the closure, where a NaN would read as a conflict.
+    with pytest.raises(MaskError, match="finite and positive"):
+        ChamferMask.build(square_lattice(), [((1, 0), 3), ((1, 1), weight)])
+
+
 WEDGE_COUNTS = {
     "bcc1": 12, "bcc2": 24, "bcc3": 48, "bcc4": 96,
     "fcc1": 20, "fcc2": 32, "fcc3": 80, "fcc4": 96,
@@ -74,7 +81,7 @@ def test_wedges_are_lattice_bases(name):
         for v in decomp.mask.vectors:
             if v in w.vectors:
                 continue
-            co = w.coefficients(v)
+            co = cramer_coefficients(w.vectors, v)
             assert not (all(c >= 0 for c in co)
                         and sum(1 for c in co if c > 0) >= 2)
 
@@ -82,8 +89,9 @@ def test_wedges_are_lattice_bases(name):
 def test_locate_and_closed_form_bcc():
     mask = preset_mask("bcc2", (13, 15))
     decomp = build_wedges(mask)
-    idx, wedge, co = decomp.locate((2, 2, 0))
+    idx, wedge, co = locate(decomp, (2, 2, 0))
     # (2,2,0) = (1,1,1) + (1,1,-1): two corner steps.
+    assert sorted(co) == [0, 1, 1]
     assert decomp.closed_form_distance((2, 2, 0)) == 26
     assert decomp.closed_form_distance((2, 0, 0)) == 15
     assert decomp.closed_form_distance((4, 2, 2)) == 41  # 2 corners + 1 axis
@@ -102,10 +110,10 @@ def test_closed_form_z2():
 def test_linear_form_interpolates_weights():
     mask = preset_mask("bcc2", (13, 15))
     decomp = build_wedges(mask)
-    for wedge in decomp.wedges:
-        form = wedge.linear_form()
+    covol = mask.lattice.covolume
+    for form, wedge in zip(decomp.wedge_forms.tolist(), decomp.wedges):
         for v, w in zip(wedge.vectors, wedge.weights):
-            assert sum(f * c for f, c in zip(form, v)) == pytest.approx(w)
+            assert sum(f * c for f, c in zip(form, v)) == covol * w
 
 
 def test_collinear_mask_rejected():
@@ -312,7 +320,7 @@ def test_float_weights_closed_form_on_convex_fan():
     pts = [p for p in itertools.product(range(-12, 13), repeat=2)]
     got = decomp.closed_form_distance(np.array(pts))
     for p, value in zip(pts, got.tolist()):
-        _, wedge, co = decomp.locate(p)
+        _, wedge, co = locate(decomp, p)
         want = sum(c * w for c, w in zip(co, wedge.weights))
         assert value == pytest.approx(want, rel=1e-12, abs=0)
         assert decomp.closed_form_distance(p) == pytest.approx(

