@@ -92,8 +92,7 @@ class Lattice:
         if len(self.spacing) != n:
             raise LatticeError("spacing length must match dimension")
         if not all(0 < s < math.inf for s in self.spacing):
-            raise LatticeError(f"spacing must be finite and positive, not "
-                               f"{self.spacing}")
+            raise LatticeError("spacing must be finite and positive")
         if int_det(self.generators) == 0:
             raise LatticeError("lattice generators are linearly dependent")
 

@@ -92,8 +92,8 @@ def max_relative_error(decomp: WedgeDecomposition) -> ErrorStats:
                       for row in forms.tolist())
     else:
         levels = sorted(set(mask.weights))
-        rank = {w: c for c, w in enumerate(levels)}
-        class_of = {v: rank[w] for v, w in zip(mask.vectors, mask.weights)}
+        class_of = {v: levels.index(w)
+                    for v, w in zip(mask.vectors, mask.weights)}
         rho_max = math.sqrt(_fan_rho2(
             decomp, class_of, np.array(levels, dtype=float)[:, None])[0])
     return ErrorStats(rho_min, rho_max)
@@ -105,8 +105,7 @@ def _row_ids(x):
     first row of each id."""
     order = np.lexsort(x.T[::-1])
     xs = x[order]
-    new = np.ones(len(x), dtype=bool)
-    new[1:] = (xs[1:] != xs[:-1]).any(axis=1)
+    new = np.r_[True, (xs[1:] != xs[:-1]).any(axis=1)]
     ids = np.empty(len(x), dtype=np.intp)
     ids[order] = np.cumsum(new) - 1
     return ids, order[new]
@@ -122,7 +121,8 @@ def _fan_rho2(decomp: WedgeDecomposition, class_of, W, wanted=True):
     and Q = P^T R: its coordinates are R w and its squared length w^T Q w
     (see the module docstring), one batched solve per face size.  Faces
     with equal Q and equal rows of R are scored once, and each distinct
-    coordinate row is tested once over all columns, as column products.
+    coordinate row is tested once over all columns, as column products,
+    against a tolerance relative to the column's largest weight.
     """
     sp = np.asarray(decomp.mask.lattice.spacing, dtype=float)
     wedges = [sorted(wd.vectors) for wd in decomp.wedges]
@@ -138,13 +138,14 @@ def _fan_rho2(decomp: WedgeDecomposition, class_of, W, wanted=True):
         P = np.eye(C)[cls[:, sub].reshape(-1, r)[first]]        # (F, r, C)
         R = np.linalg.solve(U @ U.transpose(0, 2, 1), P)
         Qs.append(P.transpose(0, 2, 1) @ R)
-        Rs.append(np.pad(R, ((0, 0), (0, n - r), (0, 0))))  # 0 rows hold
+        Rs.append(np.pad(R, ((0, 0), (0, n - r), (0, 0))))  # 0 . w >= tol
     Q, R = np.concatenate(Qs), np.concatenate(Rs).reshape(-1, C)
     row_of, first = _row_ids(R)
     ids = np.sort(row_of.reshape(len(Q), n), axis=1)
     keep = _row_ids(np.hstack([Q.reshape(len(Q), -1).view(np.int64), ids]))[1]
     Wc = W.astype(float)
-    ok = [sum(c * w for c, w in zip(row, Wc) if c) >= -1e-9
+    tol = -1e-9 * Wc.max(axis=0)          # relative: R (s w) = s (R w)
+    ok = [sum(c * w for c, w in zip(row, Wc) if c) >= tol
           for row in R[first]]
     Wf = np.ascontiguousarray(Wc.T)
     rho2 = np.zeros(W.shape[1])

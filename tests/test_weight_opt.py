@@ -95,6 +95,20 @@ def test_fan_kernel_against_dense_sampling(name, weights, spacing):
     assert kernel - sampled < 1e-4
 
 
+@pytest.mark.parametrize("name", ["z2-3", "bcc4", "fcc3", "fcc4"])
+def test_fan_score_is_scale_free(name):
+    # Scaling every weight by s scales the fan's rho_max by s: the face
+    # test R w >= 0 must not depend on the size of the weights.
+    geometry = preset_geometry(name)
+    weights = np.array(geometry.class_norms()) * np.random.default_rng(
+        5).uniform(0.8, 1.2, geometry.num_classes)
+    base = max_relative_error(build_wedges(geometry.mask_with(weights)))
+    for s in (1e-12, 1e-9, 1e9):
+        mask = geometry.mask_with(s * weights)
+        assert max_relative_error(build_wedges(mask)).rho_max / s == \
+            pytest.approx(base.rho_max, rel=1e-12)
+
+
 def _seeded_weights(geometry, seed, count=4):
     """``count`` integer and ``count`` float weight tuples, (C, 2 count)."""
     rng = np.random.default_rng(seed)
