@@ -86,8 +86,7 @@ class ChamferMask:
         # An integral weight spelled as a float (5.0) is the integer, so
         # the mask takes the exact path whichever way it was written.
         weights = tuple(int(w) if isinstance(w, numbers.Real)
-                        and math.isfinite(w) and w == int(w) else w
-                        for w in table.values())
+                        and w == int(w) else w for w in table.values())
         return cls(lattice, tuple(table), weights)
 
     @property

@@ -56,6 +56,11 @@ def test_mask_rejects_nonfinite_weights(weight):
         ChamferMask.build(square_lattice(), [((1, 0), 3), ((1, 1), weight)])
 
 
+def test_mask_keeps_integer_weights_beyond_float_range():
+    mask = ChamferMask.build(square_lattice(), [((1, 0), 10 ** 400)])
+    assert mask.weights == (10 ** 400,) * 2
+
+
 WEDGE_COUNTS = {
     "bcc1": 12, "bcc2": 24, "bcc3": 48, "bcc4": 96,
     "fcc1": 20, "fcc2": 32, "fcc3": 80, "fcc4": 96,
