@@ -8,7 +8,8 @@ seed ``--seed + i`` once in each checkout, the parent first on even i
 and the change first on odd i; the pairs of all workloads interleave.
 The file keeps the last JSON line of every run, the machine (``nproc``,
 Python and numpy versions), and per workload and end-to-end metric the
-median and quartiles of each side and the pairs the change won.
+median and quartiles of each side and the pairs the change won.  At the
+end it prints that summary as one table per workload.
 """
 
 from __future__ import annotations
@@ -58,6 +59,26 @@ def summarize(runs, metrics):
     return summary
 
 
+def print_tables(summary, out=sys.stdout):
+    """Per workload, one line per metric: parent median -> change median,
+    each side's quartile range (q1..q3), the pairs the change won, and
+    then the failed operations of every run of each side."""
+    for workload, rows in summary.items():
+        print(f"== {workload}", file=out)
+        for name, row in rows.items():
+            if name == "failed":
+                continue
+            p, c = row["parent"], row["change"]
+            print(f"{name:24} {p['median']:10.4g} -> {c['median']:<10.4g} "
+                  f"parent {p['q1']:.4g}..{p['q3']:.4g}  "
+                  f"change {c['q1']:.4g}..{c['q3']:.4g}  "
+                  f"wins {row['change_wins']}/{row['pairs']} "
+                  f"({row['better']} is better)", file=out)
+        failed = rows["failed"]
+        print(f"{'failed':24} parent {failed['parent']}  "
+              f"change {failed['change']}", file=out)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
@@ -99,6 +120,7 @@ def main(argv=None):
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)
         f.write("\n")
+    print_tables(result["summary"])
 
 
 if __name__ == "__main__":

@@ -171,7 +171,8 @@ def cmd_dt(args, out):
     if mask.lattice.name != image.lattice.name:
         raise CliError(f"mask lattice {mask.lattice.name} does not match "
                        f"image lattice {image.lattice.name}")
-    decomp = build_wedges(mask)
+    # Only --scale needs the fan; validate_image builds it if it needs it.
+    decomp = build_wedges(mask) if args.scale else None
     check = validate_image(mask, image, decomp)
     print(f"validation: {check.verdict.value}"
           + (f" ({check.reason})" if check.reason else ""), file=out)
@@ -180,7 +181,7 @@ def cmd_dt(args, out):
               "(use --unsafe to force)", file=sys.stderr)
         return 1
     # Validated above; the engine need not check the image again.
-    dmap = chamfer_two_scan(image, mask, unsafe=True, decomposition=decomp)
+    dmap = chamfer_two_scan(image, mask, unsafe=True)
     if args.scale:
         dmap.scale = max_relative_error(decomp).scale
     if args.out:

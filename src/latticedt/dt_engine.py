@@ -197,12 +197,12 @@ def validate_image(mask: ChamferMask, image: GridImage,
     padded = np.zeros(tuple(d + 2 * p for d, p in zip(dims, pad)), dtype=bool)
     inner = tuple(slice(p, p + d) for p, d in zip(pad, dims))
     padded[inner] = sup
-    border = np.zeros(dims, dtype=bool)
+    # Foreground points whose every mask neighbor lies in the support.
+    inside = fg.copy()
     for v in mask.vectors:
-        shifted = padded[tuple(slice(p + c, p + c + d)
+        inside &= padded[tuple(slice(p + c, p + c + d)
                                for p, c, d in zip(pad, v, dims))]
-        border |= sup & ~shifted
-    offenders = border & fg
+    offenders = fg & ~inside
     if not offenders.any():
         return ValidationResult(Verdict.BORDER_BACKGROUND)
 

@@ -118,27 +118,38 @@ class Lattice:
         return True
 
     def member_grid(self, origin, dims):
-        """Boolean membership array for the axis-aligned box of shape ``dims``
-        anchored at integer ``origin`` (vectorized, exact).
+        """Boolean membership array (C order) for the axis-aligned box of
+        shape ``dims`` anchored at integer ``origin`` (vectorized, exact).
 
         Each distinct adjugate row gives one congruence adj . p = 0 (mod
-        covolume).  Its left side is a sum of per-axis residues, broadcast
-        over the box from one short vector per axis."""
+        covolume).  Its left side is a sum of per-axis residues, evaluated
+        on one period, the first min(covolume, d) slots of each axis
+        (covolume * e_i lies in the lattice), which is then copied out
+        along each axis, last first, doubling the filled part each time."""
         import numpy as np
 
         dims = tuple(int(d) for d in dims)
         m = self.covolume
-        ok = np.ones(dims, dtype=bool)
+        out = np.ones(dims, dtype=bool)
         if m == 1:
-            return ok
-        axes = np.ogrid[tuple(slice(o, o + d) for o, d in zip(origin, dims))]
+            return out
+        period = tuple(slice(0, min(m, d)) for d in dims)
+        axes = np.ogrid[tuple(slice(o, o + p.stop)
+                              for o, p in zip(origin, period))]
         # A sum of n residues below m fits this (usually one-byte) type.
         small = np.min_scalar_type(self.dim * (m - 1))
         rows = {tuple(c % m for c in row) for row in self._adjugate}
         for row in sorted(rows - {(0,) * self.dim}):
             acc = sum((c * x % m).astype(small) for c, x in zip(row, axes))
-            ok &= acc % m == 0
-        return ok
+            out[period] &= acc % m == 0
+        for i in reversed(range(self.dim)):
+            line = np.moveaxis(out[period[:i]], i, 0)  # later axes are done
+            done = period[i].stop
+            while done < dims[i]:  # done is a multiple of m here
+                k = min(done, dims[i] - done)
+                line[done:done + k] = line[:k]
+                done += k
+        return out
 
     def euclidean_norm(self, v) -> float:
         return math.sqrt(sum((s * c) ** 2 for s, c in zip(self.spacing, v)))

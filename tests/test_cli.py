@@ -221,6 +221,30 @@ def test_dt_unsafe_computes(tmp_path, capsys):
     assert dst.exists()
 
 
+def test_dt_builds_the_fan_only_for_scale(tmp_path, capsys):
+    # (1, 0) and (2, 0) are collinear, so the mask has no wedge fan, yet
+    # a border-background image needs none and the two-scan is exact.
+    mask_file = tmp_path / "m.txt"
+    mask_file.write_text("1 0 : 3\n1 1 : 4\n2 0 : 5\n")
+    fg = np.zeros((9, 9), dtype=bool)
+    fg[3:6, 3:6] = True
+    img = dt_engine.GridImage.from_foreground(square_lattice(), (0, 0), fg)
+    src = tmp_path / "img.ldt"
+    image_io.write_image(img, src)
+    dst = tmp_path / "o.ldt"
+    argv = ["dt", "--in", str(src), "--mask", str(mask_file),
+            "--lattice", "Z2", "--out", str(dst)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "validation: border-background" in out
+    mask = image_io.read_mask(mask_file, square_lattice())
+    assert np.array_equal(image_io.read_distance_map(dst).values,
+                          dt_engine.dijkstra_oracle(img, mask).values)
+    code, _, err = run(capsys, *argv, "--scale")
+    assert code == 1
+    assert err.startswith("error:") and "collinear" in err
+
+
 def test_ball_inferred_preset(tmp_path, capsys):
     out_csv = tmp_path / "ball.csv"
     code, out, _ = run(capsys, "ball", "--lattice", "FCC", "--weights",

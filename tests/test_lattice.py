@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fan_reference import cramer_coefficients
+from grid_reference import full_box_member_grid
 
 from latticedt.lattice import (
     LatticeError,
@@ -121,6 +122,52 @@ def test_member_grid_unit_and_custom_covolume():
         for i in range(11):
             for j in range(13):
                 assert grid[i, j] == lat.member((i - 5, j - 4))
+
+
+PERIOD_LATTICES = [square_lattice(), cubic_lattice(), bcc_lattice(),
+                   fcc_lattice()] + [
+    custom_lattice(f"c{i}", gens) for i, gens in enumerate((
+        ((1, 1), (1, -1)), ((1, 0), (1, 3)), ((1, 2), (2, 0)),
+        ((1, 2), (0, 5)), ((2, 1), (0, 3)), ((7, 2), (-3, 43)),
+        ((1, 0, 1), (0, 1, 1), (0, 0, 2)), ((1, 0, 0), (0, 1, 0), (1, 1, 3)),
+        ((2, 0, 1), (0, 1, 1), (0, 0, 2)), ((1, 0, 2), (0, 1, 3), (0, 0, 5)),
+        ((2, 0, 0), (0, 1, 1), (1, 0, 3)), ((1, 0, 0), (0, 1, 0),
+                                            (5, 11, 307))))]
+
+
+def test_period_lattices_cover_the_covolumes():
+    assert sorted((lat.dim, lat.covolume) for lat in PERIOD_LATTICES) == [
+        (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 307),
+        (3, 1), (3, 2), (3, 2), (3, 3), (3, 4), (3, 4), (3, 5), (3, 6),
+        (3, 307)]
+
+
+@st.composite
+def _origin_and_dims(draw, m, n):
+    """A negative-leaning origin and per-axis sides of 0, 1, below the
+    period, whole periods and periods plus a remainder, at most 60000
+    slots in all."""
+    origin = tuple(draw(st.integers(-3 * m - 2, 2)) for _ in range(n))
+    dims, slots = [], 1
+    for _ in range(n):
+        sides = [0, 1, max(1, m - 1), m, 2 * m, 4 * m + 3,
+                 draw(st.integers(1, 5 * m))]
+        d = draw(st.sampled_from([s for s in sides if s * slots <= 60000]))
+        dims.append(d)
+        slots *= max(d, 1)
+    return origin, tuple(dims)
+
+
+@pytest.mark.parametrize("lat", PERIOD_LATTICES,
+                         ids=lambda lat: f"{lat.name}-{lat.covolume}")
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_member_grid_tiles_one_period(lat, data):
+    origin, dims = data.draw(_origin_and_dims(lat.covolume, lat.dim))
+    grid = lat.member_grid(origin, dims)
+    assert grid.shape == dims and grid.dtype == np.bool_
+    assert grid.flags.c_contiguous
+    assert np.array_equal(grid, full_box_member_grid(lat, origin, dims))
 
 
 def test_custom_lattice_membership():

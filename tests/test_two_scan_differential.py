@@ -6,6 +6,7 @@ support has gaps."""
 import numpy as np
 import pytest
 
+from grid_reference import border_union_offenders
 from scan_reference import level_loop_two_scan
 from latticedt.chamfer_mask import ChamferMask
 from latticedt.dt_engine import (
@@ -169,6 +170,68 @@ def test_gapped_support_matches_oracle(name, weights):
         assert validate_image(mask, case).verdict is Verdict.BORDER_BACKGROUND
         got = chamfer_two_scan(case, mask).values
         assert np.array_equal(got, dijkstra_oracle(case, mask).values)
+
+
+def _validation_cases(lattice, rng, reach, count=12):
+    """Border-background, full-box, partial-support and carved images at
+    random origins."""
+    n = lattice.dim
+    for i in range(count):
+        dims = tuple(int(d) for d in rng.integers(2 * reach + 1, 12, n))
+        origin = tuple(int(o) for o in rng.integers(-9, 3, n))
+        fg = rng.random(dims) < rng.uniform(0.3, 1.0)
+        if i % 4 == 0:
+            core = np.zeros(dims, dtype=bool)
+            core[tuple(slice(reach, d - reach) for d in dims)] = True
+            fg &= core
+        img = GridImage.from_foreground(lattice, origin, fg)
+        if i % 4 == 2:
+            vals = img.values.copy()
+            vals[rng.random(dims) < 0.1] = -1
+            img = GridImage(lattice, origin, vals)
+        elif i % 4 == 3:
+            a = tuple(int(c) for c in rng.integers(-1, 2, n))
+            a = a if any(a) else (1,) * n
+            mid = sum(c * (o + d // 2) for c, o, d in zip(a, origin, dims))
+            img = img.carved([(a, mid - int(rng.integers(0, 8)),
+                               mid + int(rng.integers(0, 8)))])
+        yield img
+
+
+def _masks_of(name, rng):
+    if name in CUSTOM:
+        lattice = custom_lattice(name, CUSTOM[name])
+        return [_random_mask(lattice, rng, 13) for _ in range(2)]
+    geometry = preset_geometry(name)
+    return [geometry.mask_with(tuple(
+        int(w) for w in rng.integers(1, 30, geometry.num_classes)))
+        for _ in range(2)]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(sorted(CUSTOM)))
+def test_border_test_matches_union(name):
+    # validate_image finds the foreground points whose mask neighbors all
+    # lie in the support; its verdict and the offender count in its reason
+    # must be those of the per-vector border union.
+    rng = np.random.default_rng(sum(map(ord, name)) + 7)
+    verdicts = set()
+    for mask in _masks_of(name, rng):
+        for img in _validation_cases(mask.lattice, rng, _reach(mask)):
+            count = int(border_union_offenders(mask, img).sum())
+            res = validate_image(mask, img)
+            verdicts.add(res.verdict)
+            if not count:
+                assert res.verdict is Verdict.BORDER_BACKGROUND
+                assert res.reason == ""
+            elif res.verdict is Verdict.WEDGE_PRESERVING:
+                assert res.reason == ""
+            else:
+                assert res.verdict is Verdict.INVALID
+                tail = f"{count} foreground border point(s)"
+                assert res.reason.endswith("; " + tail) or res.reason == (
+                    tail + " and support is not the declared half-space "
+                    "intersection")
+    assert Verdict.INVALID in verdicts and len(verdicts) > 1
 
 
 def test_hand_made_plan_must_be_lexicographic(z2_mask):
