@@ -59,12 +59,12 @@ def summarize(runs, metrics):
     return summary
 
 
-def print_tables(summary, out=sys.stdout):
+def print_tables(summary):
     """Per workload, one line per metric: parent median -> change median,
     each side's quartile range (q1..q3), the pairs the change won, and
     then the failed operations of every run of each side."""
     for workload, rows in summary.items():
-        print(f"== {workload}", file=out)
+        print(f"== {workload}")
         for name, row in rows.items():
             if name == "failed":
                 continue
@@ -73,10 +73,10 @@ def print_tables(summary, out=sys.stdout):
                   f"parent {p['q1']:.4g}..{p['q3']:.4g}  "
                   f"change {c['q1']:.4g}..{c['q3']:.4g}  "
                   f"wins {row['change_wins']}/{row['pairs']} "
-                  f"({row['better']} is better)", file=out)
+                  f"({row['better']} is better)")
         failed = rows["failed"]
         print(f"{'failed':24} parent {failed['parent']}  "
-              f"change {failed['change']}", file=out)
+              f"change {failed['change']}")
 
 
 def main(argv=None):
