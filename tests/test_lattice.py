@@ -129,10 +129,12 @@ PERIOD_LATTICES = [square_lattice(), cubic_lattice(), bcc_lattice(),
     custom_lattice(f"c{i}", gens) for i, gens in enumerate((
         ((1, 1), (1, -1)), ((1, 0), (1, 3)), ((1, 2), (2, 0)),
         ((1, 2), (0, 5)), ((2, 1), (0, 3)), ((7, 2), (-3, 43)),
-        ((1, 0, 1), (0, 1, 1), (0, 0, 2)), ((1, 0, 0), (0, 1, 0), (1, 1, 3)),
-        ((2, 0, 1), (0, 1, 1), (0, 0, 2)), ((1, 0, 2), (0, 1, 3), (0, 0, 5)),
-        ((2, 0, 0), (0, 1, 1), (1, 0, 3)), ((1, 0, 0), (0, 1, 0),
-                                            (5, 11, 307))))]
+        ((1, 0, 1), (0, 1, 1), (0, 0, 2)),
+        ((1, 0, 0), (0, 1, 0), (1, 1, 3)),
+        ((2, 0, 1), (0, 1, 1), (0, 0, 2)),
+        ((1, 0, 2), (0, 1, 3), (0, 0, 5)),
+        ((2, 0, 0), (0, 1, 1), (1, 0, 3)),
+        ((1, 0, 0), (0, 1, 0), (5, 11, 307))))]
 
 
 def test_period_lattices_cover_the_covolumes():
