@@ -17,6 +17,7 @@ import numpy as np
 from . import image_io
 from .chamfer_mask import build_wedges, convexity_report
 from .dt_engine import (
+    DistanceMap,
     EngineError,
     Verdict,
     _mask_reach,
@@ -210,7 +211,6 @@ def cmd_ball(args, out):
         else:
             inside = dmap.values <= args.radius
             clipped = np.where(inside, dmap.values, dmap.infinity)
-            from .dt_engine import DistanceMap
             with open(args.out, "w") as f:
                 f.write(image_io.distance_map_csv(
                     DistanceMap(dmap.lattice, dmap.origin, clipped,

@@ -85,7 +85,7 @@ class GridImage:
         boolean array over the box."""
         fg = np.asarray(foreground, dtype=bool)
         member = lattice.member_grid(origin, fg.shape)
-        values = np.where(member, fg.astype(np.int8), np.int8(-1))
+        values = (fg & member).view(np.int8) - (~member).view(np.int8)
         return cls(lattice, tuple(origin), values)
 
     def carved(self, halfspaces) -> "GridImage":

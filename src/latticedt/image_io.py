@@ -35,8 +35,9 @@ _SPACE[list(b" \t\n\r\x0b\x0c")] = True
 # Place values of the ten decimal digits INF32 can have, then 0 for every
 # place further left, where any value that fits has a zero digit.
 _POW10 = np.append(10 ** np.arange(10, dtype=np.int64), 0)
-# Values formatted per chunk by the text writers.
-_CHUNK_VALUES = 1 << 18
+# Values formatted per chunk by the text writers: small enough that a
+# chunk's digit passes stay in cache.
+_CHUNK_VALUES = 1 << 16
 
 
 class FormatError(ValueError):
@@ -227,26 +228,35 @@ def _write(path, header, flat, per_line, encoding):
         elif not len(flat):
             f.write(b"\n")  # an empty payload is one empty line
         else:
-            # per_line values a line; a short last line takes the rest.
-            full = len(flat) - len(flat) % per_line
-            tables = [flat[:full].reshape(-1, per_line)]
-            if full < len(flat):
-                tables.append(flat[full:].reshape(1, -1))
-            for table in tables:
-                for text in _text_rows(table, " "):
-                    f.write(text.encode("ascii"))
+            # per_line values a line and a short last line; chunks are
+            # whole lines, and a chunk's last value ends a line.
+            sep = np.full((max(1, _CHUNK_VALUES // per_line), per_line),
+                          ord(" "), dtype=np.uint8)
+            sep[:, -1] = ord("\n")
+            for s in range(0, len(flat), sep.size):
+                m = _digits(flat[s:s + sep.size], sep.ravel()[:len(flat) - s])
+                m[-1, -1] = ord("\n")
+                f.write(m[m != 0].tobytes())
 
 
-def _text_rows(table, sep):
-    """One line of ``sep``-joined decimal integers per row of the 2-D
-    ``table``, as text chunks of about _CHUNK_VALUES values, each formatted
-    by one template."""
-    rows, cols = table.shape
-    step = max(1, _CHUNK_VALUES // cols)
-    line = sep.join(["%d"] * cols) + "\n"
-    for s in range(0, rows, step):
-        block = table[s:s + step]
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+def _digits(values, sep):
+    """Decimal text of the integers ``values`` as uint8 rows, each ending in
+    ``sep``: digits right-aligned behind NUL bytes, which writers drop once
+    the rows are joined.  The digit passes run on the narrowest dtype."""
+    a = np.abs(values)
+    top = a.max(initial=0)
+    neg = np.flatnonzero(values < 0)
+    width = len(str(top)) + (len(neg) > 0)
+    a = a.astype(np.min_scalar_type(top))
+    m = np.empty((len(a), width + 1), dtype=np.uint8)
+    m[:, -1] = sep
+    for k in range(width - 1, -1, -1):
+        live = a > 0
+        a, r = np.divmod(a, 10)
+        m[:, k] = (r + ord("0")) * live
+    m[:, width - 1] |= ord("0")  # zero is "0"
+    m[neg, width - 1 - np.count_nonzero(m[neg, :width], axis=1)] = ord("-")
+    return m
 
 
 def write_image(image: GridImage, path, encoding="ascii"):
@@ -265,7 +275,7 @@ def write_distance_map(dmap: DistanceMap, path, encoding="ascii"):
     if np.any(finite & ((flat < 0) | (flat >= INF32))):
         raise FormatError(f"finite distances must lie in [0, {INF32}) to "
                           "fit a 32-bit payload")
-    flat = np.where(finite, flat, INF32)
+    flat[~finite] = INF32  # flat is a copy
     header = _header_text(dmap.lattice, dmap.dims, dmap.origin, encoding,
                           scale=dmap.scale)
     _write(path, header, flat, dmap.dims[0], encoding)
@@ -349,10 +359,18 @@ def random_image(lattice, dims, density=0.5, seed=0,
 
 def distance_map_csv(dmap: DistanceMap):
     """CSV text 'x,y[,z],value' for every finite map entry, in lexicographic
-    coordinate order, which is the C order of the array."""
-    flat = np.flatnonzero(dmap.values < dmap.infinity)
-    coords = np.unravel_index(flat, dmap.dims)
-    table = np.column_stack([c + o for c, o in zip(coords, dmap.origin)]
-                            + [dmap.values.ravel()[flat]])
+    coordinate order, which is the C order of the array.  Coordinate text
+    comes from one digit table per axis."""
     names = ["x", "y", "z"][:len(dmap.dims)]
-    return ",".join(names + ["value"]) + "\n" + "".join(_text_rows(table, ","))
+    out = [",".join(names + ["value"]) + "\n"]
+    tables = [_digits(np.arange(o, o + d), ord(","))
+              for o, d in zip(dmap.origin, dmap.dims)]
+    values = dmap.values.ravel()
+    flat = np.flatnonzero(values < dmap.infinity)
+    for s in range(0, len(flat), _CHUNK_VALUES):
+        idx = flat[s:s + _CHUNK_VALUES]
+        m = np.hstack([np.take(t, c, axis=0) for t, c in
+                       zip(tables, np.unravel_index(idx, dmap.dims))]
+                      + [_digits(values[idx], ord("\n"))])
+        out.append(m[m != 0].tobytes().decode("ascii"))
+    return "".join(out)

@@ -93,6 +93,9 @@ class Lattice:
             raise LatticeError("spacing length must match dimension")
         if not all(0 < s < math.inf for s in self.spacing):
             raise LatticeError("spacing must be finite and positive")
+        if min(self.spacing) < math.ldexp(max(self.spacing), -511):
+            raise LatticeError("spacing ratios below 2**-511 underflow "
+                               "when squared")
         if int_det(self.generators) == 0:
             raise LatticeError("lattice generators are linearly dependent")
 
@@ -151,8 +154,16 @@ class Lattice:
                 done += k
         return out
 
+    @cached_property
+    def unit(self) -> float:
+        """The power of two at or below the largest spacing.  Lengths in this
+        unit square within the float range, and rescaling by it is exact."""
+        return math.ldexp(1.0, math.frexp(max(self.spacing))[1] - 1)
+
     def euclidean_norm(self, v) -> float:
-        return math.sqrt(sum((s * c) ** 2 for s, c in zip(self.spacing, v)))
+        u = self.unit
+        return u * math.sqrt(sum((s / u * c) ** 2
+                                 for s, c in zip(self.spacing, v)))
 
 
 def square_lattice(spacing=(1.0, 1.0)) -> Lattice:

@@ -83,11 +83,12 @@ def max_relative_error(decomp: WedgeDecomposition) -> ErrorStats:
     """
     mask = decomp.mask
     lattice = mask.lattice
+    u = lattice.unit
     rho_min = min(w / lattice.euclidean_norm(v)
                   for v, w in zip(mask.vectors, mask.weights))
     if decomp.is_norm:
         forms, denom, _, _ = decomp._gauge
-        rho_max = max(math.sqrt(sum((c / (denom * s)) ** 2
+        rho_max = max(math.sqrt(sum((c / (denom * s / u)) ** 2
                                     for c, s in zip(row, lattice.spacing)))
                       for row in forms.tolist())
     else:
@@ -96,7 +97,7 @@ def max_relative_error(decomp: WedgeDecomposition) -> ErrorStats:
                     for v, w in zip(mask.vectors, mask.weights)}
         rho_max = math.sqrt(_fan_rho2(
             decomp, class_of, np.array(levels, dtype=float)[:, None])[0])
-    return ErrorStats(rho_min, rho_max)
+    return ErrorStats(rho_min, rho_max / u)
 
 
 def _row_ids(x):
@@ -112,9 +113,10 @@ def _row_ids(x):
 
 
 def _fan_rho2(decomp: WedgeDecomposition, class_of, W, wanted=True):
-    """Squared fan rho_max of each weight column of W (C, rows) where
-    ``wanted``, 0 elsewhere; ``class_of`` maps each mask vector to its row
-    of W (the fan depends on the vectors only).
+    """Squared fan rho_max, with lengths in the lattice's ``unit``, of each
+    weight column of W (C, rows) where ``wanted``, 0 elsewhere;
+    ``class_of`` maps each mask vector to its row of W (the fan depends on
+    the vectors only).
 
     Each distinct face S (a generator subset of some wedge, as a vector
     set) gives, for its one-hot class rows P, the matrices R = G_S^-1 P
@@ -124,7 +126,7 @@ def _fan_rho2(decomp: WedgeDecomposition, class_of, W, wanted=True):
     coordinate row is tested once over all columns, as column products,
     against a tolerance relative to the column's largest weight.
     """
-    sp = np.asarray(decomp.mask.lattice.spacing, dtype=float)
+    sp = np.divide(decomp.mask.lattice.spacing, decomp.mask.lattice.unit)
     wedges = [sorted(wd.vectors) for wd in decomp.wedges]
     V = np.array(wedges, dtype=np.int64)                        # (K, n, n)
     cls = np.array([[class_of[v] for v in w] for w in wedges])  # (K, n)
@@ -225,9 +227,9 @@ def optimize_real_weights(geometry: MaskGeometry) -> RealWeightOptimum:
     which is optimal for this geometry.  Returns one weight per class.
     """
     norms = geometry.class_norms()
-    rho_star = math.sqrt(_fan_rho2(geometry.reference_decomposition(),
-                                   geometry.class_of(),
-                                   np.array(norms)[:, None])[0])
+    rho_star = math.sqrt(_fan_rho2(
+        geometry.reference_decomposition(), geometry.class_of(),
+        np.array(norms)[:, None] / geometry.lattice.unit)[0])
     factor = 2.0 / (1.0 + rho_star)
     return RealWeightOptimum(tuple(factor * n for n in norms), rho_star)
 
@@ -285,7 +287,7 @@ def _pattern_ids(bits):
 
 def _hull_scores(geometry: MaskGeometry, W):
     """Per weight column of W (C, rows): (is the mask a norm, squared hull
-    rho_max).
+    rho_max with lengths in the lattice's ``unit``).
 
     Each basis of polar_candidates is a candidate vertex l = M w / det.
     A row is scored on the feasible candidates; its norm test needs the
@@ -296,7 +298,7 @@ def _hull_scores(geometry: MaskGeometry, W):
     H, R, group, subsets, adj, det = polar_candidates(geometry.lattice,
                                                       geometry.classes)
     perms = dict.fromkeys(map(tuple, group[0].tolist()))
-    sp = np.asarray(geometry.lattice.spacing, dtype=float)
+    sp = np.divide(geometry.lattice.spacing, geometry.lattice.unit)
     cls = geometry.class_of()
     vecs = [v for orbit in geometry.classes for v in orbit]
     V = np.array(vecs)
@@ -376,7 +378,8 @@ def _search_table(geometry: MaskGeometry, max_weight: int):
 
     norm, hull_rho2 = _hull_scores(geometry, W)
     fan_rho2 = _fan_rho2(decomp, geometry.class_of(), W, ~norm)
-    rho_max = np.sqrt(np.where(norm, hull_rho2, fan_rho2))
+    rho_max = np.sqrt(np.where(norm, hull_rho2, fan_rho2)) / \
+        geometry.lattice.unit
 
     error = (rho_max - rho_min) / (rho_max + rho_min)
     scale = 2.0 / (rho_max + rho_min)

@@ -1,12 +1,29 @@
 import hashlib
+import importlib.util
+import os
+import re
 
 import numpy as np
 import pytest
 
 from conftest import fixture_path
 from latticedt import cli, dt_engine, image_io
+from latticedt.chamfer_mask import build_wedges
 from latticedt.cli import main
-from latticedt.lattice import bcc_lattice, cubic_lattice, square_lattice
+from latticedt.lattice import (
+    bcc_lattice,
+    cubic_lattice,
+    fcc_lattice,
+    square_lattice,
+)
+from latticedt.presets import preset_mask
+from latticedt.weight_opt import max_relative_error
+
+# The benchmark's checks decode CSV maps without latticedt.
+_spec = importlib.util.spec_from_file_location("bench_checks", os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "checks.py"))
+bench_checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_checks)
 
 
 def run(capsys, *argv):
@@ -119,6 +136,35 @@ def test_bad_spacing_and_weights_refused(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "must be finite and positive" in err
+
+
+def _floats(text):
+    return [float(t) for t in re.findall(r"\d+\.\d+", text)]
+
+
+@pytest.mark.parametrize("s", [1e200, 1e-200])
+def test_mask_check_at_the_float_range_ends(capsys, s):
+    # Spacing s * (1, 1) gives the spacing-1 report with ratios divided
+    # and the scale multiplied by s.
+    stats = max_relative_error(build_wedges(preset_mask("z2-2", (3, 4))))
+    code, out, err = run(capsys, "mask", "check", "--vectors", "z2-2",
+                         "--weights", "3,4", "--spacing", f"{s!r},{s!r}")
+    assert code == 0 and err == ""
+    assert "error: 5.57%" in out and "convexity: strict" in out
+    lo, hi = _floats(out.split("ratio range:")[1].splitlines()[0])
+    scale = _floats(out.split("scale:")[1])[0]
+    if s > 1:
+        assert scale == pytest.approx(stats.scale * s, rel=1e-12)
+    else:
+        assert (lo, hi) == pytest.approx((stats.rho_min / s,
+                                          stats.rho_max / s), rel=1e-12)
+
+
+def test_spacing_ratio_beyond_the_float_range_refused(capsys):
+    code, out, err = run(capsys, "weights", "optimize", "--vectors", "z2-2",
+                         "--spacing", "1e-170,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: spacing ratios below 2**-511")
 
 
 def test_mask_check_convex(capsys):
@@ -254,6 +300,50 @@ def test_ball_inferred_preset(tmp_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "x,y,z,value"
     assert len(lines) == 334
+
+
+@pytest.mark.parametrize("make,preset,weights", [
+    (square_lattice, "z2-2", "3,4"), (cubic_lattice, "z3-3", "3,4,5"),
+    (bcc_lattice, "bcc3", "4,5,7"), (fcc_lattice, "fcc3", "2,3,4")])
+def test_dt_csv_decodes_to_the_library_map(tmp_path, capsys, make, preset,
+                                           weights):
+    lattice = make()
+    dims = (13, 11) if lattice.dim == 2 else (9, 8, 7)
+    img = image_io.random_image(lattice, dims, 0.7, seed=3, border_depth=2)
+    src, dst = tmp_path / "img.ldt", tmp_path / "map.csv"
+    image_io.write_image(img, src)
+    code, _, _ = run(capsys, "dt", "--in", str(src), "--vectors", preset,
+                     "--weights", weights, "--format", "csv",
+                     "--out", str(dst))
+    assert code == 0
+    dmap = dt_engine.chamfer_two_scan(
+        img, preset_mask(preset, tuple(map(int, weights.split(",")))))
+    want = np.where(dmap.values < dmap.infinity, dmap.values,
+                    bench_checks.INF)
+    got = bench_checks.decode_csv(dst.read_bytes(), lattice.name, dims)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lattice,preset,weights", [
+    ("Z3", "z3-3", (3, 4, 5)), ("BCC", "bcc2", (13, 15))])
+def test_ball_csv_decodes_to_the_library_map(tmp_path, capsys, lattice,
+                                             preset, weights):
+    dst = tmp_path / "ball.csv"
+    code, _, _ = run(capsys, "ball", "--vectors", preset, "--weights",
+                     ",".join(map(str, weights)), "--radius", "30",
+                     "--out", str(dst))
+    assert code == 0
+    _, dmap = dt_engine.generate_ball(preset_mask(preset, weights), 30)
+    # decode_csv reads boxes at the origin: shift by -origin, a lattice
+    # vector here, so membership is kept.
+    head, *rows = dst.read_text().splitlines()
+    shifted = [",".join(str(int(t) - o) for t, o in
+                        zip(row.split(","), dmap.origin + (0,)))
+               for row in rows]
+    data = "\n".join([head, *shifted, ""]).encode("ascii")
+    got = bench_checks.decode_csv(data, lattice, dmap.dims)
+    want = np.where(dmap.values <= 30, dmap.values, bench_checks.INF)
+    assert np.array_equal(got, want)
 
 
 def test_verify_small(capsys):

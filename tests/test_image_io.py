@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_path, orbit_mask
+from text_reference import ascii_payload, csv_text
 from latticedt import image_io
 from latticedt.chamfer_mask import MaskError
 from latticedt.dt_engine import GridImage, chamfer_two_scan
@@ -392,3 +395,54 @@ def test_ascii_payload_accepts_unsigned_decimals(tmp_path):
 def test_ascii_payload_refuses_other_tokens(tmp_path, token):
     with pytest.raises(FormatError):
         read_distance_map(ascii_map(tmp_path, b"0 1 2 " + token + b"\n"))
+
+
+# ---------------------------------------------------------------------------
+# The digit-matrix text writers against the template writer they replaced.
+# ---------------------------------------------------------------------------
+
+
+def _payload(path):
+    return path.read_bytes().split(b"data ascii\n", 1)[1]
+
+
+@given(name=st.sampled_from(sorted(LATTICES)), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1),
+       low=st.sampled_from([0, 0, -5000]),
+       top=st.sampled_from([0, 1, 9, 10, 99, 12345, INF32 - 1, 2 ** 40]),
+       inf_share=st.sampled_from([0.0, 0.3, 1.0]),
+       chunk=st.sampled_from(["1", "3", "line-1", "line", "line+1",
+                              "default"]))
+@settings(max_examples=400, deadline=None)
+def test_text_writers_match_reference(tmp_path_factory, name, data, seed,
+                                      low, top, inf_share, chunk):
+    # 2D and 3D boxes with negative origins and zero-length axes; maps
+    # that are empty or all infinite, store INF32 entries in the payload,
+    # or hold finite CSV values beyond 32 bits; chunk sizes that change
+    # the digit width from chunk to chunk.
+    make, _ = LATTICES[name]
+    lattice = make()
+    n = lattice.dim
+    dims = tuple(data.draw(st.integers(0, 12 if n == 2 else 7))
+                 for _ in range(n))
+    origin = tuple(data.draw(st.integers(-40, 9)) for _ in range(n))
+    rng = np.random.default_rng(seed)
+    inf = top + 1
+    values = rng.integers(low, top + 1, dims)
+    values[rng.random(dims) < 0.1] = top
+    values[rng.random(dims) < inf_share] = inf
+    dmap = DistanceMap(lattice, origin, values, inf)
+    img = GridImage.from_foreground(lattice, origin, rng.random(dims) < 0.5)
+    member = lattice.member_grid(origin, dims).T
+    stored = np.where(values < inf, values, INF32).T[member]
+    size = {"1": 1, "3": 3, "line-1": max(1, dims[0] - 1), "line": dims[0],
+            "line+1": dims[0] + 1, "default": image_io._CHUNK_VALUES}[chunk]
+    p = tmp_path_factory.getbasetemp() / "text.ldt"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(image_io, "_CHUNK_VALUES", max(size, 1))
+        assert distance_map_csv(dmap) == csv_text(dmap)
+        if low == 0 and top < INF32:
+            write_distance_map(dmap, p)
+            assert _payload(p) == ascii_payload(stored, dims[0])
+        write_image(img, p)
+        assert _payload(p) == ascii_payload(img.values.T[member], dims[0])

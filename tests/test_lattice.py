@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fan_reference import cramer_coefficients
 from grid_reference import full_box_member_grid
 
+from latticedt.dt_engine import GridImage
 from latticedt.lattice import (
     LatticeError,
     adjugate,
@@ -172,6 +173,23 @@ def test_member_grid_tiles_one_period(lat, data):
     assert np.array_equal(grid, full_box_member_grid(lat, origin, dims))
 
 
+@pytest.mark.parametrize("lat", PERIOD_LATTICES,
+                         ids=lambda lat: f"{lat.name}-{lat.covolume}")
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_from_foreground_matches_where_form(lat, data):
+    # The int8 arithmetic form against the np.where form it replaced, on
+    # C- and Fortran-ordered foregrounds.
+    origin, dims = data.draw(_origin_and_dims(lat.covolume, lat.dim))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    member = full_box_member_grid(lat, origin, dims)
+    for fg in (rng.random(dims) < 0.5, rng.random(dims[::-1]).T < 0.5):
+        values = GridImage.from_foreground(lat, origin, fg).values
+        assert values.dtype == np.int8 and values.shape == dims
+        assert np.array_equal(values, np.where(member, fg.astype(np.int8),
+                                               np.int8(-1)))
+
+
 def test_custom_lattice_membership():
     lat = custom_lattice("hex-ish", ((2, 1), (0, 3)))
     assert lat.covolume == 6
@@ -202,3 +220,22 @@ def test_signed_permutation_orbit():
 def test_euclidean_norm_uses_spacing():
     lat = cubic_lattice((1.0, 2.0, 3.0))
     assert lat.euclidean_norm((1, 1, 1)) == pytest.approx(np.sqrt(14))
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 3e-9, 1.0, 7.5, 1e200, 1e300])
+def test_euclidean_norm_near_the_float_range_ends(s):
+    # Squares of the spacing would leave the float range; lengths in the
+    # lattice's power-of-two unit do not, and the unit rescales exactly.
+    lat = cubic_lattice((s, 2 * s, 3 * s))
+    assert 1 <= max(lat.spacing) / lat.unit < 2
+    assert lat.euclidean_norm((1, 1, 1)) == pytest.approx(np.sqrt(14) * s,
+                                                          rel=1e-15)
+    assert cubic_lattice().unit == 1.0
+
+
+@pytest.mark.parametrize("spacing", [(1e-170, 1.0), (1.0, 2.0 ** -512),
+                                     (1e300, 1e-300)])
+def test_spacing_ratio_that_squares_to_zero_refused(spacing):
+    with pytest.raises(LatticeError, match="2\\*\\*-511"):
+        square_lattice(spacing)
+    square_lattice((1.0, 2.0 ** -511))  # the smallest ratio that squares

@@ -29,12 +29,12 @@ NO_SYMMETRY = MaskGeometry(square_lattice(), (
 
 def kernel_rho_max(decomp):
     """The fan's rho_max from the library's kernel, with the mask's
-    distinct weights as its classes."""
+    distinct weights as its classes, back in physical lengths."""
     mask = decomp.mask
     levels = sorted(set(mask.weights))
     class_of = {v: levels.index(w) for v, w in zip(mask.vectors, mask.weights)}
     W = np.array(levels, dtype=float)[:, None]
-    return math.sqrt(_fan_rho2(decomp, class_of, W)[0])
+    return math.sqrt(_fan_rho2(decomp, class_of, W)[0]) / mask.lattice.unit
 
 
 def _sample_wedge(rng, wedge, sp, on_faces=False):
@@ -143,10 +143,10 @@ def test_fan_kernel_matches_reference(geometry):
                      geometry.class_of(), W)
     for weights, got in zip(W.T.tolist(), rho2.tolist()):
         decomp = build_wedges(geometry.mask_with(weights))
-        assert math.sqrt(got) == pytest.approx(fan_rho_max(decomp),
-                                               rel=1e-12, abs=0)
-        assert kernel_rho_max(decomp) == pytest.approx(
-            math.sqrt(got), rel=1e-12, abs=0)
+        got = math.sqrt(got) / geometry.lattice.unit  # physical lengths
+        assert got == pytest.approx(fan_rho_max(decomp), rel=1e-12, abs=0)
+        assert kernel_rho_max(decomp) == pytest.approx(got, rel=1e-12,
+                                                       abs=0)
     wanted = np.arange(W.shape[1]) % 2 == 0
     assert np.array_equal(_fan_rho2(geometry.reference_decomposition(),
                                     geometry.class_of(), W, wanted),
