@@ -1,15 +1,23 @@
 """Alternating parent/change runs of the benchmark, written as one JSON file.
 
     python3 scripts/paired_bench.py --parent DIR --change DIR --out FILE \
-        [--pairs 10] [--seconds 32] [--seed 101] [--workloads volumes ...]
+        [--pairs 10] [--seconds 32] [--seed 101] [--workloads volumes ...] \
+        [--claim WORKLOAD/METRIC]
 
 DIR is the root of a checkout.  Pair i runs ``perfbench/run.py`` with
 seed ``--seed + i`` once in each checkout, the parent first on even i
 and the change first on odd i; the pairs of all workloads interleave.
 The file keeps the last JSON line of every run, the machine (``nproc``,
 Python and numpy versions), and per workload and end-to-end metric the
-median and quartiles of each side and the pairs the change won.  At the
-end it prints that summary as one table per workload.
+median and quartiles of each side, the pairs the change won and a
+verdict.  The claimed metric reads "claim met" when the change won at
+least nine tenths of the pairs and its median gain exceeds the parent's
+quartile spread, else "claim not met".  Every other metric reads "worse"
+when the change's median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json (a fraction of the parent's median),
+"unresolved" when the parent's quartile spread is wider than that bound
+and some change run is not better than every parent run, else "ok".  At
+the end it prints that summary as one table per workload.
 """
 
 from __future__ import annotations
@@ -38,12 +46,28 @@ def quartiles(values):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarize(runs, metrics):
+def verdict(parent, change, wins, bound, claimed):
+    """The verdict on one metric, from each side's values already signed
+    so that larger is better."""
+    p, c = quartiles(parent), quartiles(change)
+    gain = c["median"] - p["median"]
+    if claimed:
+        met = 10 * wins >= 9 * len(parent) and gain > p["q3"] - p["q1"]
+        return "claim met" if met else "claim not met"
+    if gain < -bound * abs(p["median"]):
+        return "worse"
+    if p["q3"] - p["q1"] > bound * abs(p["median"]) \
+            and min(change) <= max(parent):
+        return "unresolved"
+    return "ok"
+
+
+def summarize(runs, metrics, claim=None):
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == workload]
         rows = {}
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             side = {s: [p[s]["metrics"][name]["value"] for p in pairs]
                     for s in ("parent", "change")}
             sign = 1 if better == "higher" else -1
@@ -52,7 +76,11 @@ def summarize(runs, metrics):
             rows[name] = {"parent": quartiles(side["parent"]),
                           "change": quartiles(side["change"]),
                           "better": better, "change_wins": wins,
-                          "pairs": len(pairs)}
+                          "pairs": len(pairs),
+                          "verdict": verdict(
+                              [sign * v for v in side["parent"]],
+                              [sign * v for v in side["change"]], wins,
+                              bound, claim == f"{workload}/{name}")}
         rows["failed"] = {s: [p[s]["failed"] for p in pairs]
                           for s in ("parent", "change")}
         summary[workload] = rows
@@ -61,8 +89,8 @@ def summarize(runs, metrics):
 
 def print_tables(summary):
     """Per workload, one line per metric: parent median -> change median,
-    each side's quartile range (q1..q3), the pairs the change won, and
-    then the failed operations of every run of each side."""
+    each side's quartile range (q1..q3), the pairs the change won and the
+    verdict, and then the failed operations of every run of each side."""
     for workload, rows in summary.items():
         print(f"== {workload}")
         for name, row in rows.items():
@@ -73,7 +101,7 @@ def print_tables(summary):
                   f"parent {p['q1']:.4g}..{p['q3']:.4g}  "
                   f"change {c['q1']:.4g}..{c['q3']:.4g}  "
                   f"wins {row['change_wins']}/{row['pairs']} "
-                  f"({row['better']} is better)")
+                  f"({row['better']} is better)  {row['verdict']}")
         failed = rows["failed"]
         print(f"{'failed':24} parent {failed['parent']}  "
               f"change {failed['change']}")
@@ -89,10 +117,17 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--workloads", nargs="+",
                     default=["volumes", "tables", "oracles"])
+    ap.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                    help="the end-to-end metric the change claims to "
+                    "improve, judged by the pairs rule")
     args = ap.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        metrics = {m["name"]: m["better"]
+        metrics = {m["name"]: (m["better"], m["bound"])
                    for m in json.load(f)["end_to_end"]}
+    if args.claim:
+        workload, _, name = args.claim.partition("/")
+        if workload not in args.workloads or name not in metrics:
+            ap.error(f"--claim {args.claim}: no such workload/metric")
     roots = {"parent": args.parent, "change": args.change}
     runs = []
     for i in range(args.pairs):
@@ -115,7 +150,8 @@ def main(argv=None):
         "command": "perfbench/run.py --trace 0 --seconds "
                    f"{args.seconds:g}",
         "runs": runs,
-        "summary": summarize(runs, metrics),
+        "summary": summarize(runs, metrics, args.claim),
+        "claim": args.claim,
     }
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)

@@ -518,8 +518,8 @@ def build_wedges(mask: ChamferMask) -> WedgeDecomposition:
     2D: sort directions by angle and pair neighbours.  3D: start from the
     2^n sign copies of a shortest basis among the mask vectors and refine
     any wedge that still contains another mask vector, splitting along the
-    contained vector (mediant refinement).  Every wedge is checked to be a
-    lattice basis.
+    contained vector (mediant refinement one generation at a time; split
+    relations in depth-first order).  Every wedge is a lattice basis.
     """
     if mask.dim == 2:
         return _build_wedges_2d(mask)
@@ -548,65 +548,77 @@ def _build_wedges_2d(mask):
 
 def _build_wedges_nd(mask):
     covol = mask.lattice.covolume
-    weight = dict(zip(mask.vectors, mask.weights))
-    n = mask.dim
-    vecs = sorted(mask.vectors,
-                  key=lambda v: (sum(c * c for c in v), v))
-    seed = None
-    for comb in itertools.combinations(vecs, n):
-        if abs(int_det(comb)) == covol:
-            seed = comb
-            break
+    vectors = mask.vectors
+    n, N = mask.dim, len(vectors)
+    V = np.array(vectors, dtype=np.int64).reshape(N, n)
+    order = np.lexsort((*V.T[::-1], (V * V).sum(axis=1)))  # (|v|^2, v)
+    seed = next((comb for comb in itertools.combinations(order.tolist(), n)
+                 if abs(int_det([vectors[j] for j in comb])) == covol), None)
     if seed is None:
         raise MaskError("no subset of mask vectors forms a lattice basis")
 
-    V = np.array(mask.vectors, dtype=np.int64)
-    norm2 = (V * V).sum(axis=1).tolist()
-    queue = [tuple(tuple(s * c for c in v) for s, v in zip(signs, seed))
-             for signs in itertools.product((1, -1), repeat=n)]
-    done = set()
-    final = []
-    splits = []
-    while queue:
-        w = queue.pop()
+    # Refine one generation of wedges (rows of sorted vector indices) per
+    # pass.  A wedge's outcome depends only on its vector set: (-1, _) when
+    # final, else (vector, parent flags): the picked vector and the
+    # generators it splits, or with no flag set the first contained vector,
+    # when none of them splits the wedge into lattice bases.
+    rank = np.argsort(order)
+    big, eye = 2 ** 63 - 1, np.eye(n, dtype=bool)
+    # The 2^n sign copies of the seed, +v before -v in each place.
+    starts = list(itertools.product(*(
+        (j, vectors.index(tuple(-c for c in vectors[j]))) for j in seed)))
+    front = np.sort(starts, axis=1)
+    outcome = {}
+    while len(front):
+        # co[k, g, j]: coordinate k of mask vector j in wedge g's basis,
+        # times |det| (= covolume: unit-coefficient splits keep the det).
+        adj, det = batch_adjugate(V[front])
+        co = adj.transpose(2, 0, 1) @ V.T * np.sign(det)[:, None]
+        inside = (co.min(axis=0) >= 0) & ((co > 0).sum(axis=0) >= 2)
+        # Contained vectors ordered by (coefficient total, |v|^2, v).
+        key = np.where(inside, co.sum(axis=0) * N + rank, big)
+        unit = np.where(((co == 0) | (co == covol)).all(axis=0), key, big)
+        first, pick = key.argmin(axis=1), unit.argmin(axis=1)
+        rows = np.arange(len(front))
+        cut = unit[rows, pick] < big
+        up = (co[:, rows, pick] > 0).T & cut[:, None]
+        vec = np.where(cut, pick, np.where(key[rows, first] < big, first, -1))
+        outcome.update(zip(map(tuple, front.tolist()),
+                           zip(vec.tolist(), up.tolist())))
+        # Each split's children: the wedge with one parent swapped for p.
+        kids = np.where(eye, pick[:, None, None], front[:, None, :])[up]
+        front = np.array(list(dict.fromkeys(
+            k for k in map(tuple, np.sort(kids, axis=1).tolist())
+            if k not in outcome)), dtype=np.int64).reshape(-1, n)
+
+    # Split relations and the first refusal in the order of the
+    # depth-first walk that pops the most recently queued wedge.
+    stack, done, splits = starts, set(), []
+    while stack:
+        w = stack.pop()
         key = tuple(sorted(w))
         if key in done:
             continue
         done.add(key)
-        # Coordinates of every mask vector in the basis w, times |det(w)|
-        # (= covolume: unit-coefficient splits keep the determinant).
-        co = V @ np.array(adjugate(w)).T * np.sign(int_det(w))
-        inside = np.flatnonzero((co >= 0).all(axis=1)
-                                & ((co > 0).sum(axis=1) >= 2))
-        if not len(inside):
-            final.append(w)
+        p, up = outcome[key]
+        if p < 0:
             continue
-        total = co.sum(axis=1).tolist()
-        contained = sorted(inside.tolist(), key=lambda j: (
-            total[j], norm2[j], mask.vectors[j]))
-        unit = ((co == 0) | (co == covol)).all(axis=1)
-        picked = next((j for j in contained if unit[j]), None)
-        if picked is None:
-            u = mask.vectors[contained[0]]
+        parents = {j for j, u in zip(key, up) if u}
+        if not parents:
             raise MaskError(
-                f"mask vector {u} cannot split wedge {w} into lattice bases")
-        u = mask.vectors[picked]
-        parents = [k for k in range(n) if co[picked, k] > 0]
-        splits.append((u, tuple(sorted((w[k], 1) for k in parents))))
-        for k in parents:
-            child = list(w)
-            child[k] = u
-            queue.append(tuple(child))
-
-    wedges = sorted(set(tuple(sorted(w)) for w in final))
-    out = []
-    for w in wedges:
-        d = int_det(w)
-        if abs(d) != covol:  # cannot happen with unit-coefficient splits
-            raise MaskError(f"wedge {w} is not a lattice basis")
-        out.append(Wedge(w, tuple(weight[v] for v in w)))
+                f"mask vector {vectors[p]} cannot split wedge "
+                f"{tuple(vectors[j] for j in w)} into lattice bases")
+        splits.append((vectors[p], tuple(sorted(
+            (vectors[j], 1) for j in parents))))
+        stack.extend(w[:k] + (p,) + w[k + 1:] for k in range(n)
+                     if w[k] in parents)
+    weight = dict(zip(vectors, mask.weights))
+    wedges = sorted(tuple(sorted(map(vectors.__getitem__, key)))
+                    for key, (p, _) in outcome.items() if p < 0)
     # Split relations, deduplicated on (child, parent multiset).
-    return WedgeDecomposition(mask, tuple(out), tuple(dict.fromkeys(splits)))
+    return WedgeDecomposition(
+        mask, tuple(Wedge(w, tuple(map(weight.get, w))) for w in wedges),
+        tuple(dict.fromkeys(splits)))
 
 
 def convexity_report(decomp: WedgeDecomposition):

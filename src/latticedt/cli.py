@@ -108,6 +108,12 @@ def _exact(value):
     return f"{value:.12g}"
 
 
+def _decimals(x, d):
+    """x to d decimals, or with d decimals in e notation where fixed
+    decimals would show no digit of it or more than 12 before the point."""
+    return f"{x:.{d}{'f' if x == 0 or 10 ** -d <= abs(x) < 1e12 else 'e'}}"
+
+
 def cmd_mask_check(args, out):
     mask = _load_mask(args)
     decomp = build_wedges(mask)
@@ -117,10 +123,10 @@ def cmd_mask_check(args, out):
     print(f"mask vectors: {len(mask.vectors)}", file=out)
     print(f"wedges: {len(decomp.wedges)}", file=out)
     stats = max_relative_error(decomp)
-    print(f"ratio range: [{stats.rho_min:.6f}, {stats.rho_max:.6f}]",
-          file=out)
-    print(f"scale: {stats.scale:.4f}  error: {100 * stats.error:.2f}%",
-          file=out)
+    print(f"ratio range: [{_decimals(stats.rho_min, 6)}, "
+          f"{_decimals(stats.rho_max, 6)}]", file=out)
+    print(f"scale: {_decimals(stats.scale, 4)}  "
+          f"error: {100 * stats.error:.2f}%", file=out)
     print(f"convexity: {verdict}", file=out)
     for v, idx, lhs, rhs in offenders[:10]:
         if idx is None:
@@ -138,7 +144,7 @@ def cmd_weights_optimize(args, out):
     print("vector  weight", file=out)
     for orbit, w in zip(geom.classes, opt.weights):
         rep = max(orbit)
-        print(f"{' '.join(str(c) for c in rep):8s}  {w:.3f}", file=out)
+        print(f"{' '.join(map(str, rep)):8s}  {_decimals(w, 3)}", file=out)
     print(f"error: {100 * opt.error:.2f}%", file=out)
     return 0
 

@@ -211,8 +211,6 @@ def validate_image(mask: ChamferMask, image: GridImage,
     # its declared half-spaces alone, which must reproduce the support
     # exactly (including an empty margin ring around the box, so the
     # declaration really bounds it).
-    if decomposition is None:
-        decomposition = build_wedges(mask)
     n = len(dims)
     if image.carve:
         normals = [tuple(a) for a, _lo, _hi in image.carve]
@@ -231,6 +229,8 @@ def validate_image(mask: ChamferMask, image: GridImage,
         member = image.lattice.member_grid(image.origin, dims)
         described = np.array_equal(member, sup)
     if described:
+        if decomposition is None:
+            decomposition = build_wedges(mask)
         bad = None
         for a in normals:
             for wd in decomposition.wedges:

@@ -56,19 +56,19 @@ def batch_adjugate(rows):
     import numpy as np
 
     A = np.asarray(rows, dtype=np.int64)
-    if A.shape[1:] == (2, 2):
-        a, b = A[:, 0], A[:, 1]
-        cols = [np.stack([b[:, 1], -b[:, 0]], axis=1),
-                np.stack([-a[:, 1], a[:, 0]], axis=1)]
+    if A.shape[1:] == (2, 2):  # columns (b1, -b0) and (-a1, a0)
+        cols = A[:, ::-1, ::-1] * np.array([[1, -1], [-1, 1]])
     elif A.shape[1:] == (3, 3):
-        a, b, c = A[:, 0], A[:, 1], A[:, 2]
-        i, j = [1, 2, 0], [2, 0, 1]  # x_i y_j - x_j y_i, without np.cross
-        cols = [u[:, i] * v[:, j] - u[:, j] * v[:, i]
-                for u, v in ((b, c), (c, a), (a, b))]
+        # Rows and columns cycled to (0, 1, 2, 0, 1): slices 1:4 and 2:5
+        # are the rows (b, c, a) and (c, a, b), whose cross products are
+        # the columns b x c, c x a, a x b, in three array operations.
+        u = A[:, [0, 1, 2, 0, 1]][:, :, [0, 1, 2, 0, 1]]
+        cols = (u[:, 1:4, 1:4] * u[:, 2:5, 2:5]
+                - u[:, 1:4, 2:5] * u[:, 2:5, 1:4])
     else:
         raise LatticeError("batch_adjugate supports 2x2 and 3x3 matrices")
-    det = np.einsum("ti,ti->t", A[:, 0], cols[0])
-    return np.stack(cols, axis=2), det
+    return cols.transpose(0, 2, 1), np.einsum("ti,ti->t", A[:, 0],
+                                              cols[:, 0])
 
 
 @dataclass(frozen=True)

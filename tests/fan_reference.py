@@ -1,7 +1,9 @@
 """Per-wedge references for the wedge fan, kept for the tests to compare
 against: exact Cramer coordinates in a wedge's basis, the wedge containing
-a point, and the fan's rho_max as a float loop over each wedge's faces
-(the library scores each distinct face once, in weight_opt._fan_rho2)."""
+a point, the fan's rho_max as a float loop over each wedge's faces
+(the library scores each distinct face once, in weight_opt._fan_rho2), and
+the 3D fan built one queued wedge at a time (the library refines a whole
+generation of wedges per numpy pass, in chamfer_mask._build_wedges_nd)."""
 
 import itertools
 import math
@@ -9,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from latticedt.chamfer_mask import MaskError
+from latticedt.chamfer_mask import MaskError, Wedge, WedgeDecomposition
 from latticedt.lattice import LatticeError, adjugate, int_det
 
 
@@ -83,3 +85,69 @@ def fan_rho_max(decomp):
     """The fan's rho_max, one wedge at a time."""
     spacing = decomp.mask.lattice.spacing
     return max(wedge_ratio_max(w, spacing) for w in decomp.wedges)
+
+
+def build_wedges_nd(mask):
+    """The 3D wedge fan by depth-first mediant refinement, one popped wedge
+    per round of numpy calls: wedges, split relations (in the order the
+    walk records them) and refusals as chamfer_mask.build_wedges gives."""
+    covol = mask.lattice.covolume
+    weight = dict(zip(mask.vectors, mask.weights))
+    n = mask.dim
+    vecs = sorted(mask.vectors,
+                  key=lambda v: (sum(c * c for c in v), v))
+    seed = None
+    for comb in itertools.combinations(vecs, n):
+        if abs(int_det(comb)) == covol:
+            seed = comb
+            break
+    if seed is None:
+        raise MaskError("no subset of mask vectors forms a lattice basis")
+
+    V = np.array(mask.vectors, dtype=np.int64)
+    norm2 = (V * V).sum(axis=1).tolist()
+    queue = [tuple(tuple(s * c for c in v) for s, v in zip(signs, seed))
+             for signs in itertools.product((1, -1), repeat=n)]
+    done = set()
+    final = []
+    splits = []
+    while queue:
+        w = queue.pop()
+        key = tuple(sorted(w))
+        if key in done:
+            continue
+        done.add(key)
+        # Coordinates of every mask vector in the basis w, times |det(w)|
+        # (= covolume: unit-coefficient splits keep the determinant).
+        co = V @ np.array(adjugate(w)).T * np.sign(int_det(w))
+        inside = np.flatnonzero((co >= 0).all(axis=1)
+                                & ((co > 0).sum(axis=1) >= 2))
+        if not len(inside):
+            final.append(w)
+            continue
+        total = co.sum(axis=1).tolist()
+        contained = sorted(inside.tolist(), key=lambda j: (
+            total[j], norm2[j], mask.vectors[j]))
+        unit = ((co == 0) | (co == covol)).all(axis=1)
+        picked = next((j for j in contained if unit[j]), None)
+        if picked is None:
+            u = mask.vectors[contained[0]]
+            raise MaskError(
+                f"mask vector {u} cannot split wedge {w} into lattice bases")
+        u = mask.vectors[picked]
+        parents = [k for k in range(n) if co[picked, k] > 0]
+        splits.append((u, tuple(sorted((w[k], 1) for k in parents))))
+        for k in parents:
+            child = list(w)
+            child[k] = u
+            queue.append(tuple(child))
+
+    wedges = sorted(set(tuple(sorted(w)) for w in final))
+    out = []
+    for w in wedges:
+        d = int_det(w)
+        if abs(d) != covol:  # cannot happen with unit-coefficient splits
+            raise MaskError(f"wedge {w} is not a lattice basis")
+        out.append(Wedge(w, tuple(weight[v] for v in w)))
+    # Split relations, deduplicated on (child, parent multiset).
+    return WedgeDecomposition(mask, tuple(out), tuple(dict.fromkeys(splits)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import orbit_mask
-from fan_reference import cramer_coefficients, locate
+from fan_reference import build_wedges_nd, cramer_coefficients, locate
 from test_acceptance import WEIGHT_TABLES
 from latticedt.chamfer_mask import (
     ChamferMask,
@@ -19,6 +19,10 @@ from latticedt.chamfer_mask import (
 )
 from latticedt.dt_engine import GridImage, chamfer_two_scan
 from latticedt.lattice import (
+    bcc_lattice,
+    cubic_lattice,
+    custom_lattice,
+    fcc_lattice,
     int_det,
     signed_permutation_orbit,
     square_lattice,
@@ -244,6 +248,45 @@ def test_build_wedges_output_pinned(preset):
                        d.splits)).encode())
     assert h.hexdigest()[:16] == FAN_DIGESTS[preset]
 
+
+
+def _fan_or_refusal(build, mask):
+    try:
+        d = build(mask)
+    except MaskError as e:
+        return "refused", str(e)
+    return "fan", d.wedges, d.splits
+
+
+def test_build_wedges_matches_the_depth_first_reference():
+    # Random symmetric masks from [-3, 3]^3: two in three keep most of the
+    # lattice's short vectors (fans with up to ~20 splits, or a vector that
+    # cannot split a wedge), one in three draws any few vectors (often no
+    # basis at all).  Fans, split order and refusal texts must agree.
+    lattices = [cubic_lattice(), bcc_lattice(), fcc_lattice(),
+                custom_lattice("det3", ((1, -1, 0), (0, 1, -1), (1, 1, 1)))]
+    rng = np.random.default_rng(26)
+    seen = {"fan": 0, "no subset": 0, "cannot split": 0}
+    for i in range(600):
+        lattice = lattices[i % 4]
+        half = [p for p in itertools.product(range(-3, 4), repeat=3)
+                if p > (0, 0, 0) and lattice.member(p)]
+        norm2 = [sum(c * c for c in p) for p in half]
+        if i % 3:
+            keep = [p for p, r in zip(half, norm2)
+                    if r <= 2 * min(norm2) and rng.random() < 0.8]
+            extra = rng.choice(len(half), rng.integers(0, 7), replace=False)
+        else:
+            keep = []
+            extra = rng.choice(len(half), rng.integers(2, 9), replace=False)
+        vectors = dict.fromkeys(keep + [half[j] for j in extra])
+        mask = ChamferMask.build(lattice, [(v, int(rng.integers(1, 10)))
+                                           for v in vectors])
+        got = _fan_or_refusal(build_wedges, mask)
+        assert got == _fan_or_refusal(build_wedges_nd, mask), mask
+        kind = got[0] if got[0] == "fan" else got[1]
+        seen[next(k for k in seen if k in kind)] += 1
+    assert min(seen.values()) >= 50, seen
 
 ARRAY_CLOSED_FORM = [
     ("z3-3", (3, 4, 5)),

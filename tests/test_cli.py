@@ -16,8 +16,8 @@ from latticedt.lattice import (
     fcc_lattice,
     square_lattice,
 )
-from latticedt.presets import preset_mask
-from latticedt.weight_opt import max_relative_error
+from latticedt.presets import preset_geometry, preset_mask
+from latticedt.weight_opt import max_relative_error, optimize_real_weights
 
 # The benchmark's checks decode CSV maps without latticedt.
 _spec = importlib.util.spec_from_file_location("bench_checks", os.path.join(
@@ -138,26 +138,41 @@ def test_bad_spacing_and_weights_refused(capsys, argv):
     assert err.startswith("error: ") and "must be finite and positive" in err
 
 
-def _floats(text):
-    return [float(t) for t in re.findall(r"\d+\.\d+", text)]
+def _printed_as(text, value):
+    """The printed number parses and equals value to its printed digits
+    (fixed decimals, or e notation at the ends of the float range)."""
+    digits, _, exponent = text.partition("e")
+    ulp = 10.0 ** (int(exponent or 0) - len(digits.partition(".")[2]))
+    return abs(float(text) - value) <= 0.5000001 * ulp
 
 
 @pytest.mark.parametrize("s", [1e200, 1e-200])
 def test_mask_check_at_the_float_range_ends(capsys, s):
     # Spacing s * (1, 1) gives the spacing-1 report with ratios divided
-    # and the scale multiplied by s.
-    stats = max_relative_error(build_wedges(preset_mask("z2-2", (3, 4))))
+    # and the scale multiplied by s, in e notation.
+    stats = max_relative_error(build_wedges(
+        preset_mask("z2-2", (3, 4), (s, s))))
     code, out, err = run(capsys, "mask", "check", "--vectors", "z2-2",
                          "--weights", "3,4", "--spacing", f"{s!r},{s!r}")
     assert code == 0 and err == ""
     assert "error: 5.57%" in out and "convexity: strict" in out
-    lo, hi = _floats(out.split("ratio range:")[1].splitlines()[0])
-    scale = _floats(out.split("scale:")[1])[0]
-    if s > 1:
-        assert scale == pytest.approx(stats.scale * s, rel=1e-12)
-    else:
-        assert (lo, hi) == pytest.approx((stats.rho_min / s,
-                                          stats.rho_max / s), rel=1e-12)
+    lo, hi = re.search(r"ratio range: \[(\S+), (\S+)\]", out).groups()
+    scale = re.search(r"scale: (\S+)", out).group(1)
+    assert "e" in lo + hi + scale
+    assert _printed_as(lo, stats.rho_min) and _printed_as(hi, stats.rho_max)
+    assert _printed_as(scale, stats.scale)
+
+
+@pytest.mark.parametrize("s", [1e200, 1e-200])
+def test_weights_optimize_at_the_float_range_ends(capsys, s):
+    weights = optimize_real_weights(
+        preset_geometry("z2-2", (s, s))).weights
+    code, out, err = run(capsys, "weights", "optimize", "--vectors", "z2-2",
+                         "--spacing", f"{s!r},{s!r}")
+    assert code == 0 and err == ""
+    printed = [line.split()[-1] for line in out.splitlines()[1:-1]]
+    assert len(printed) == len(weights) and all(
+        "e" in t and _printed_as(t, w) for t, w in zip(printed, weights))
 
 
 def test_spacing_ratio_beyond_the_float_range_refused(capsys):

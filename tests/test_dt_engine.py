@@ -107,6 +107,23 @@ def test_underdeclared_carve_is_invalid(diagonal_mask):
     assert validate_image(diagonal_mask, img).verdict is Verdict.INVALID
 
 
+
+def test_undescribed_support_is_judged_without_the_fan():
+    # Collinear vectors: the mask has no wedge fan.  An undescribed
+    # support is invalid whatever the fan; a described one needs it.
+    mask = ChamferMask.build(square_lattice(), [((0, 1), 1), ((0, 3), 2)])
+    with pytest.raises(MaskError):
+        build_wedges(mask)
+    box = GridImage.from_foreground(square_lattice(), (0, 0),
+                                    np.ones((14, 6), bool))
+    # The declared x-slab does not bound y, where the mask reaches.
+    res = validate_image(mask, box.carved([((1, 0), 2, 10)]))
+    assert res.verdict is Verdict.INVALID
+    assert res.reason.endswith(
+        "support is not the declared half-space intersection")
+    with pytest.raises(MaskError):
+        validate_image(mask, box)
+
 def test_two_scan_refuses_invalid(diagonal_mask):
     img = GridImage.from_foreground(square_lattice(), (0, 0),
                                     np.ones((6, 6), bool))
