@@ -11,8 +11,9 @@ The file keeps the last JSON line of every run, the machine (``nproc``,
 Python and numpy versions), and per workload and end-to-end metric the
 median and quartiles of each side, the pairs the change won and a
 verdict.  The claimed metric reads "claim met" when the change won at
-least nine tenths of the pairs and its median gain exceeds the parent's
-quartile spread, else "claim not met".  Every other metric reads "worse"
+least nine tenths of the pairs, its median gain exceeds the parent's
+quartile spread and it failed no more operations than the parent on
+that workload, else "claim not met".  Every other metric reads "worse"
 when the change's median is worse than the parent's by more than the
 metric's bound in BENCHMARK.json (a fraction of the parent's median),
 "unresolved" when the parent's quartile spread is wider than that bound
@@ -46,13 +47,15 @@ def quartiles(values):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def verdict(parent, change, wins, bound, claimed):
+def verdict(parent, change, wins, bound, claimed, more_failures=False):
     """The verdict on one metric, from each side's values already signed
-    so that larger is better."""
+    so that larger is better; more_failures is whether the change failed
+    more operations than the parent on the workload."""
     p, c = quartiles(parent), quartiles(change)
     gain = c["median"] - p["median"]
     if claimed:
-        met = 10 * wins >= 9 * len(parent) and gain > p["q3"] - p["q1"]
+        met = (10 * wins >= 9 * len(parent) and gain > p["q3"] - p["q1"]
+               and not more_failures)
         return "claim met" if met else "claim not met"
     if gain < -bound * abs(p["median"]):
         return "worse"
@@ -66,6 +69,9 @@ def summarize(runs, metrics, claim=None):
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == workload]
+        failed = {s: [p[s]["failed"] for p in pairs]
+                  for s in ("parent", "change")}
+        more_failures = sum(failed["change"]) > sum(failed["parent"])
         rows = {}
         for name, (better, bound) in metrics.items():
             side = {s: [p[s]["metrics"][name]["value"] for p in pairs]
@@ -80,9 +86,9 @@ def summarize(runs, metrics, claim=None):
                           "verdict": verdict(
                               [sign * v for v in side["parent"]],
                               [sign * v for v in side["change"]], wins,
-                              bound, claim == f"{workload}/{name}")}
-        rows["failed"] = {s: [p[s]["failed"] for p in pairs]
-                          for s in ("parent", "change")}
+                              bound, claim == f"{workload}/{name}",
+                              more_failures)}
+        rows["failed"] = failed
         summary[workload] = rows
     return summary
 

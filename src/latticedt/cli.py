@@ -144,7 +144,8 @@ def cmd_weights_optimize(args, out):
     print("vector  weight", file=out)
     for orbit, w in zip(geom.classes, opt.weights):
         rep = max(orbit)
-        print(f"{' '.join(map(str, rep)):8s}  {_decimals(w, 3)}", file=out)
+        print(f"{' '.join(str(c) for c in rep):8s}  {_decimals(w, 3)}",
+              file=out)
     print(f"error: {100 * opt.error:.2f}%", file=out)
     return 0
 

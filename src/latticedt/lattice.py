@@ -56,8 +56,10 @@ def batch_adjugate(rows):
     import numpy as np
 
     A = np.asarray(rows, dtype=np.int64)
-    if A.shape[1:] == (2, 2):  # columns (b1, -b0) and (-a1, a0)
-        cols = A[:, ::-1, ::-1] * np.array([[1, -1], [-1, 1]])
+    if A.shape[1:] == (2, 2):
+        a, b = A[:, 0], A[:, 1]
+        cols = np.stack([np.stack([b[:, 1], -b[:, 0]], axis=1),
+                         np.stack([-a[:, 1], a[:, 0]], axis=1)], axis=1)
     elif A.shape[1:] == (3, 3):
         # Rows and columns cycled to (0, 1, 2, 0, 1): slices 1:4 and 2:5
         # are the rows (b, c, a) and (c, a, b), whose cross products are

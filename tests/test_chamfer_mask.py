@@ -249,7 +249,6 @@ def test_build_wedges_output_pinned(preset):
     assert h.hexdigest()[:16] == FAN_DIGESTS[preset]
 
 
-
 def _fan_or_refusal(build, mask):
     try:
         d = build(mask)
@@ -287,6 +286,7 @@ def test_build_wedges_matches_the_depth_first_reference():
         kind = got[0] if got[0] == "fan" else got[1]
         seen[next(k for k in seen if k in kind)] += 1
     assert min(seen.values()) >= 50, seen
+
 
 ARRAY_CLOSED_FORM = [
     ("z3-3", (3, 4, 5)),

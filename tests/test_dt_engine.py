@@ -107,7 +107,6 @@ def test_underdeclared_carve_is_invalid(diagonal_mask):
     assert validate_image(diagonal_mask, img).verdict is Verdict.INVALID
 
 
-
 def test_undescribed_support_is_judged_without_the_fan():
     # Collinear vectors: the mask has no wedge fan.  An undescribed
     # support is invalid whatever the fan; a described one needs it.
@@ -123,6 +122,7 @@ def test_undescribed_support_is_judged_without_the_fan():
         "support is not the declared half-space intersection")
     with pytest.raises(MaskError):
         validate_image(mask, box)
+
 
 def test_two_scan_refuses_invalid(diagonal_mask):
     img = GridImage.from_foreground(square_lattice(), (0, 0),

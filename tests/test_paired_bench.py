@@ -23,6 +23,12 @@ def test_claim_needs_nine_tenths_and_a_gain_beyond_the_spread(change, wins,
     assert paired_bench.verdict(PARENT, change, wins, 0.25, True) == expected
 
 
+def test_claim_not_met_with_more_failed_operations():
+    change = [v + 5 for v in PARENT]
+    assert paired_bench.verdict(PARENT, change, 10, 0.25, True,
+                                more_failures=True) == "claim not met"
+
+
 @pytest.mark.parametrize("parent,change,expected", [
     (PARENT, [v * 0.8 for v in PARENT], "ok"),
     (PARENT, [v * 0.7 for v in PARENT], "worse"),
