@@ -160,15 +160,23 @@ def cmd_weights_search(args, out):
         keep = _pareto_index(error.tolist())
         W, scale, error = W[:, keep], scale[keep], error[keep]
     cells = ["%d"] * geom.num_classes
+    d = 4 if args.format == "csv" else 3
+    # Scales that _decimals would print in e notation are formatted one by
+    # one; every other column keeps the one fixed-decimal template.
+    size = np.abs(scale)
+    fixed = np.all((size == 0) | ((10 ** -d <= size) & (size < 1e12)))
+    scales = (scale.tolist() if fixed
+              else [_decimals(x, d) for x in scale.tolist()])
+    cells.append(f"%.{d}f" if fixed else "%s")
     if args.format == "csv":
         print(",".join([f"w{i+1}" for i in range(geom.num_classes)]
                        + ["scale", "error_pct"]), file=out)
-        line = ",".join(cells + ["%.4f", "%.2f"]) + "\n"
+        line = ",".join(cells + ["%.2f"]) + "\n"
     else:
-        line = " ".join(cells + ["%.3f", "%.2f"]) + "\n"
+        line = " ".join(cells + ["%.2f"]) + "\n"
     # One template over the row-interleaved columns formats every row.
     fields = itertools.chain.from_iterable(
-        zip(*W.tolist(), scale.tolist(), (100 * error).tolist()))
+        zip(*W.tolist(), scales, (100 * error).tolist()))
     out.write(line * len(error) % tuple(fields))
     return 0
 

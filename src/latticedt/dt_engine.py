@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -131,9 +132,12 @@ def _mask_reach(mask: ChamferMask) -> tuple:
 
 def distance_bound(image: GridImage, mask: ChamferMask) -> int:
     """Strict upper bound for any achievable in-image path cost."""
-    npts = int(np.count_nonzero(image.support))
-    maxw = max(mask.weights)
-    return int(maxw) * (npts + 1) + 1
+    return _bound(mask, int(np.count_nonzero(image.support)))
+
+
+def _bound(mask: ChamferMask, npts: int) -> int:
+    """distance_bound of an image with ``npts`` support points."""
+    return int(max(mask.weights)) * (npts + 1) + 1
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,7 @@ class ScanPlan:
     half2: tuple  # (vector, weight) with normal . v > 0, for the backward pass
 
 
+@functools.lru_cache(maxsize=64)
 def make_scan_plan(mask: ChamferMask) -> ScanPlan:
     """The lexicographic split: half1 holds the mask vectors whose first
     nonzero coordinate is negative, half2 their mirrors.
@@ -259,15 +264,18 @@ def _require_integer_weights(mask: ChamferMask):
                           f"{sorted(set(mask.weights))}")
 
 
-def _padded_setup(image: GridImage, mask: ChamferMask, pad=None):
+def _padded_setup(image: GridImage, mask: ChamferMask, pad=None, inf=None,
+                  dtype=np.int64):
     """Distances in a margin of ``pad`` slots per side (the mask reach by
-    default): 0 on background points, ``inf`` everywhere else."""
+    default): 0 on background points, ``inf`` (distance_bound by default)
+    everywhere else."""
     dims = image.dims
     if pad is None:
         pad = _mask_reach(mask)
     pdims = tuple(d + 2 * p for d, p in zip(dims, pad))
-    inf = distance_bound(image, mask)
-    dist = np.full(pdims, inf, dtype=np.int64)
+    if inf is None:
+        inf = distance_bound(image, mask)
+    dist = np.full(pdims, inf, dtype=dtype)
     inner = tuple(slice(p, p + d) for p, d in zip(pad, dims))
     dist[inner][image.values == 0] = 0
     strides = np.array(dist.strides, dtype=np.int64) // dist.itemsize
@@ -285,15 +293,17 @@ def _level_slices(sigma):
 
 
 # Bytes of weights a pass may hold in a contiguous copy per view shape.
-# Numpy adds contiguous operands several times faster than a slice of
-# the widest view's weights while they stay in cache, and no faster once
-# they do not.
+# Numpy adds two contiguous int32 blocks 2-4 times faster than a block
+# and a slice of the widest view's weights when views are narrow; with no
+# copies 32^3 boxes take about 5 % longer.  With int32 distances, budgets
+# of 1 to 8 MiB time alike within the noise on 32^3 to 108^3 boxes.
 _WEIGHT_BYTES = 8 << 20
 
-# What one more stacked read per wavefront step costs, in slots.  Its
-# numpy calls cost about this much on 68^3 to 108^3 boxes and more on
-# small ones; with it z3-3, bcc2 and fcc2 take one read, bcc3 two and fcc3
-# three, the fastest groupings measured on 18^3 to 108^3 boxes.
+# What one more stacked read per wavefront step costs, in slots.  With
+# it z3-3, bcc2 and fcc2 take one read, bcc3 two and fcc3 three.  Under
+# int32 distances 4 to 8 keep those groupings among the fastest on 22^3
+# to 108^3 boxes; 16 or more fold bcc3's and fcc3's reads into one, which
+# is 1.5 to 2 times slower on their 86^3 and 108^3 boxes.
 _VIEW_COST = 8
 
 
@@ -428,17 +438,20 @@ def _passes(lattice: Lattice, plan: ScanPlan) -> tuple:
                           "make_scan_plan: half1 vectors lead with a "
                           "negative coordinate, half2 vectors with a "
                           "positive one")
-    return (_wavefront(lattice, plan.half1),
-            _wavefront(lattice, tuple((tuple(-c for c in v), w)
-                                      for v, w in plan.half2)))
+    mirror = tuple((tuple(-c for c in v), w) for v, w in plan.half2)
+    forward = _wavefront(lattice, plan.half1)
+    if sorted(mirror) == sorted(plan.half1):
+        return forward, forward
+    return forward, _wavefront(lattice, mirror)
 
 
 def _rows(wave: _Wavefront, corner, lo, hi, base, strides):
-    """The views of one pass in wavefront order, as [offset, rows, points
-    per row]: the element of the view's first lattice point in a flat
-    buffer whose padded index i sits at base + i @ strides, and the
-    view's shape.  Index 0 of the padded array sits at the point
-    ``corner``; the views cover the index box [lo, hi)."""
+    """The views of one pass in wavefront order, as the rows [offset,
+    rows, points per row, phase] of an array: the element of the view's
+    first lattice point in a flat buffer whose padded index i sits at
+    base + i @ strides, the view's shape, and the padded z index of its
+    points modulo the period.  Index 0 of the padded array sits at the
+    point ``corner``; the views cover the index box [lo, hi)."""
     s, a, p = wave.skew, wave.row_step, wave.period
     m = len(wave.phase)
     t = np.arange(s * lo[0] + lo[1], s * (hi[0] - 1) + hi[1])
@@ -456,93 +469,230 @@ def _rows(wave: _Wavefront, corner, lo, hi, base, strides):
     keep = (x <= x1) & (phase >= 0) & (z < hi[2])
     views = np.stack([base + x * strides[0] + y * strides[1]
                       + z * strides[2], (x1 - x) // a + 1,
-                      (hi[2] - z + p - 1) // p], axis=1)
-    return views[keep].tolist()
+                      (hi[2] - z + p - 1) // p, z % p], axis=1)
+    return views[keep]
 
 
-def _sweep(buf, strides, views, wave: _Wavefront, inf, support):
-    """One pass over the flat distances ``buf`` (``strides`` per padded
-    index).
+class _Pass(NamedTuple):
+    """One pass over a padded box.  ``strides`` steps its flat buffer
+    per padded index; ``shapes`` lists the distinct view shapes (rows,
+    points per row, phase) and the rows of ``steps`` the views in
+    wavefront order as (offset, shape index) (see _rows).  A view reads
+    ``reads``, each as (offset of its first slot from the view's, slot
+    box, element steps of the slot axes and of the view's rows and
+    points, its slots in the scratch block); ``weights`` and ``dz`` hold
+    every slot's weight (-1 for none) and z offset, and ``here`` is the
+    point's own slot in the last read."""
 
-    Every view of a wavefront reads its cross-row neighbours (and itself)
-    from earlier wavefronts, one stacked read per run of x offsets, then
-    takes the in-row steps as a running minimum along each row: with the
-    ramp r(j) = w * (j // k) folded into the slot weights,
-    d(j) = min(c(j), d(j - k) + w) is r(j) + cummin(c - r)(j).
-    ``support`` (flat bool, or None when every lattice point of the box
-    is in the support) switches to a point-by-point in-row step that
-    stops at points outside the support."""
-    item = buf.itemsize
-    rs = wave.row_step * (strides[0] - wave.skew * strides[1]) * item
-    zs = wave.period * strides[2] * item
-    rmax = max((v[1] for v in views), default=0)
-    zmax = max((v[2] for v in views), default=0)
-    j = np.arange(zmax, dtype=np.int64)
-    ramps = [w * (j // k) for k, w in wave.inrow] or [0 * j]
-    reads, slots = [], 0
+    wave: _Wavefront
+    strides: tuple
+    shapes: tuple
+    steps: np.ndarray
+    reads: tuple
+    weights: np.ndarray
+    dz: np.ndarray
+    here: tuple
+
+
+def _pass(wave: _Wavefront, strides, views) -> _Pass:
+    rs = wave.row_step * (strides[0] - wave.skew * strides[1])
+    zs = wave.period * strides[2]
+    # Shapes by one integer code each, which sorts them as tuples.
+    R, nz, ph = views[:, 1:].T
+    _code, first, index = np.unique(
+        (R * (nz.max(initial=0) + 1) + nz) * wave.period + ph,
+        return_index=True, return_inverse=True)
+    reads, slots, dz = [], 0, []
     for B, lo, weights in wave.reads:
         steps = [sum(map(operator.mul, b, strides)) for b in B]
         reads.append((sum(map(operator.mul, lo, steps)), weights.shape,
-                      tuple(st * item for st in steps) + (rs, zs),
+                      tuple(steps) + (rs, zs),
                       slice(slots, slots + weights.size)))
         slots += weights.size
+        dz.append((np.indices(weights.shape).reshape(3, -1).T + lo)
+                  @ [b[2] for b in B])
+    steps = np.stack([views[:, 0], index.reshape(-1)], axis=1)
+    weights = np.concatenate([w.ravel() for _B, _lo, w in wave.reads])
+    dz = np.concatenate(dz)
+    for a in (steps, weights, dz):
+        a.flags.writeable = False
     # The point itself is the slot of weight 0, in the last read.
     here = tuple(int(i[0]) for i in np.nonzero(wave.reads[-1][2] == 0))
+    shapes = tuple(map(tuple, views[first, 1:].tolist()))
+    return _Pass(wave, strides, shapes, steps, tuple(reads), weights, dz,
+                 here)
+
+
+class _Layout(NamedTuple):
+    """Where the two passes over a box go: the passes, the margin, the
+    lattice points the views cover and the largest in-row ramp over the
+    padded rows (see _sweep)."""
+
+    forward: _Pass
+    backward: _Pass
+    pad: tuple
+    points: int
+    ramp: int
+
+
+@functools.lru_cache(maxsize=16)
+def _scan_layout(lattice: Lattice, plan: ScanPlan, dims: tuple,
+                 origin: tuple) -> _Layout:
+    """The walks of ``plan`` over the box ``dims`` at ``origin``, padded
+    by the farthest read of either pass.  It depends on nothing else, so
+    transforms of boxes of one shape share it."""
+    lift = 3 - lattice.dim
+    forward, backward = _passes(lattice, plan)
+    pad = tuple(max(f, b) for f, b in zip(forward.reach[lift:],
+                                          backward.reach[lift:]))
+    pdims = tuple(d + 2 * p for d, p in zip(dims, pad))
+    s3 = (0,) * lift + tuple(math.prod(pdims[i + 1:])
+                             for i in range(len(dims)))
+    flip = tuple(-s for s in s3)
+    lo = (0,) * lift + pad
+    hi = tuple(p + d for p, d in zip(lo, (1,) * lift + dims))
+    origin = (0,) * lift + origin
+    first = [o - p for o, p in zip(origin, lo)]
+    last = [-(o + h - l - 1) - l for o, l, h in zip(origin, lo, hi)]
+    down = _rows(forward, first, lo, hi, 0, s3)
+    up = _rows(backward, last, lo, hi, math.prod(pdims) - 1, flip)
+    ramp = max([w * ((pdims[-1] - 1) // (k * wave.period))
+                for wave in (forward, backward) for k, w in wave.inrow],
+               default=0)
+    return _Layout(_pass(forward, s3, down), _pass(backward, flip, up), pad,
+                   int(down[:, 1] @ down[:, 2]), ramp)
+
+
+def _row_ramp(wave: _Wavefront, size, dtype):
+    """r(z) = w * (z // period) over a padded row of ``size`` slots, for
+    a walk whose only in-row step is (0, 0, -period) of weight w, else
+    None.  A pass over a full support holds e = d - r (see _sweep)."""
+    if [k for k, _w in wave.inrow] != [1]:
+        return None
+    return (wave.inrow[0][1] * (np.arange(size) // wave.period)).astype(dtype)
+
+
+def _sweep(buf, p: _Pass, inf, support, relative, kept):
+    """One pass ``p`` over the flat distances ``buf``, in its dtype.
+
+    Every view of a wavefront reads its cross-row neighbours (and itself)
+    from earlier wavefronts, one stacked read per run of x offsets, into
+    one scratch block, adds the slot weights and takes the minimum c over
+    the slots; the in-row steps then run along each row.  With the ramp
+    r(j) = w * (j // k) of an in-row step (0, 0, -k * period) of weight w,
+    j the index of a point in its row of the view, folded into the slot
+    weights, d(j) = min(c(j), d(j - k) + w) is r + cummin(c - r) over each
+    of the k interleaved runs of a row.
+
+    ``relative`` says that the only in-row step has k = 1 and that
+    ``buf`` holds e = d - r instead, r the ramp of _row_ramp along the
+    whole padded row: the running minimum then goes straight into the
+    view, and slot v adds r(z + v_z) - r(z) to its weight, which depends
+    only on v and on the phase of the view's z.  ``support`` (flat bool,
+    or None when every lattice point of the box is in the support)
+    switches to a point-by-point in-row step that stops at points outside
+    the support.  ``kept`` maps view shapes to their scratch and weights;
+    the two passes of a walk share it."""
+    dtype, item = buf.dtype, buf.itemsize
+    wave, (rs, zs) = p.wave, p.reads[0][2][-2:]
+    rmax = max((R for R, _nz, _ph in p.shapes), default=0)
+    zmax = max((nz for _R, nz, _ph in p.shapes), default=0)
+    j = np.arange(zmax, dtype=dtype)
+    ramps = [w * (j // k) for k, w in wave.inrow] or [0 * j]
+    slots = p.weights.size
     # All slots of all reads land in one scratch block, slot-major, so a
-    # single reduction takes their minimum.  The weights, ramp folded in,
-    # are laid out the same way: for the widest view per row length, and
-    # copied contiguous per view shape while _WEIGHT_BYTES lasts.
-    wts = np.concatenate([w.ravel() for _B, _lo, w in wave.reads])
-    wts[wts < 0] = inf
-    scratch = np.empty(slots * rmax * zmax, dtype=np.int64)
-    keys = np.empty(rmax * zmax, dtype=np.int64)
-    W, shaped, budget = {}, {}, _WEIGHT_BYTES
-    for off, R, nz in views:
-        if nz not in W:
-            W[nz] = np.ascontiguousarray(np.broadcast_to(
-                wts[:, None, None] - ramps[0][:nz], (slots, rmax, nz)))
-        if (R, nz) not in shaped:
-            block = scratch[:slots * R * nz].reshape(slots, R, nz)
-            w = W[nz][:, :R]
-            if w.nbytes <= budget:
-                w = w.copy()
-                budget -= w.nbytes
-            shaped[R, nz] = (block, keys[:R * nz].reshape(R, nz),
-                             w, [r[:nz] for r in ramps],
-                             [(block[part].reshape(shape + (R, nz)),
-                               (off_start, shape + (R, nz), bstr))
-                              for off_start, shape, bstr, part in reads])
-        block, key, w, ramp, parts = shaped[R, nz]
-        for dest, (start, shape, bstr) in parts:
-            stack = np.ndarray(shape, np.int64, buf, (off + start) * item,
-                               bstr)
-            np.copyto(dest, stack)
+    # single reduction takes their minimum.  The weights are laid out the
+    # same way: contiguous per view shape while _WEIGHT_BYTES lasts, then
+    # slices of the widest view's.
+    if relative:
+        (_k, w), = wave.inrow
+        period = wave.period
+        # Rows run along the last axis, so strides[1] is a padded row.
+        none = inf + w * ((abs(p.strides[1]) - 1) // period)
+        gain = w * ((np.arange(period)[:, None] + p.dz) // period)
+        lead = np.where(p.weights < 0, none, p.weights + gain).astype(dtype)
+        lead = {(nz, ph): lead[ph, :, None, None] for _R, nz, ph in p.shapes}
+    else:
+        wts = np.where(p.weights < 0, inf, p.weights)
+        lead = {(nz, ph): (wts[:, None] - ramps[0][:nz]).astype(dtype)[:, None]
+                for _R, nz, ph in p.shapes}
+    new = [shape for shape in p.shapes if shape not in kept]
+    size = max((R * nz for R, nz, _ph in new), default=0)
+    scratch = np.empty(slots * size, dtype)
+    keys = np.empty(size, dtype)
+    wide, budget = {}, _WEIGHT_BYTES
+    for R, nz, ph in new:
+        block = scratch[:slots * R * nz].reshape(slots, R, nz)
+        if block.nbytes <= budget and R < rmax:
+            budget -= block.nbytes
+            w = np.empty_like(block)
+            w[...] = lead[nz, ph]
+        else:
+            if (nz, ph) not in wide:
+                wide[nz, ph] = np.empty((slots, rmax, nz), dtype)
+                wide[nz, ph][...] = lead[nz, ph]
+            w = wide[nz, ph][:, :R]
+        kept[R, nz, ph] = (block, keys[:R * nz].reshape(R, nz), w,
+                           [r[:nz] for r in ramps],
+                           [block[part].reshape(box + (R, nz))
+                            for _start, box, _steps, part in p.reads])
+    entries = []
+    for R, nz, ph in p.shapes:
+        block, key, w, ramp, dests = kept[R, nz, ph]
+        entries.append((block, key, w, ramp, [
+            (dest, start, box + (R, nz), tuple(st * item for st in steps))
+            for dest, (start, box, steps, _part) in zip(dests, p.reads)]))
+    add, here = np.add, p.here
+    reduce, accumulate = np.minimum.reduce, np.minimum.accumulate
+    if relative and len(p.reads) == 1:
+        # One read per view (the z2 and z3 presets, bcc2 and fcc2), taken
+        # from a window that holds every read of its shape in ``buf``.
+        fast = []
+        for block, key, w, _r, ((dest, start, shape, bstr),) in entries:
+            first = -sum((n - 1) * b for n, b in zip(shape, bstr) if b < 0)
+            last = sum((n - 1) * b for n, b in zip(shape, bstr) if b > 0)
+            fast.append((np.ndarray(((buf.nbytes - first - last) // item,)
+                                    + shape, dtype, buf, first,
+                                    (item,) + bstr),
+                         start - first // item, dest, block, w, key))
+        for off, i in p.steps.tolist():
+            window, start, dest, block, w, key = fast[i]
+            stack = window[off + start]
+            dest[...] = stack
+            add(block, w, block)
+            reduce(block, 0, None, key)
+            accumulate(key, 1, None, stack[here])
+        return
+    for off, i in p.steps.tolist():
+        block, key, w, ramp, parts = entries[i]
+        for dest, start, shape, bstr in parts:
+            stack = np.ndarray(shape, dtype, buf, (off + start) * item, bstr)
+            dest[...] = stack
         view = stack[here]
-        np.add(block, w, out=block)
-        np.minimum.reduce(block, axis=0, out=key)
-        if support is None:
-            for i, (k, _w) in enumerate(wave.inrow):
-                if i:
-                    key += ramp[i - 1] - ramp[i]
-                if k == 1:
-                    np.minimum.accumulate(key, axis=1, out=key)
-                    continue
+        add(block, w, block)
+        reduce(block, 0, None, key)
+        if relative:
+            accumulate(key, 1, None, view)
+        elif support is None:
+            for n, (k, _w) in enumerate(wave.inrow):
+                if n:
+                    key += ramp[n - 1] - ramp[n]
                 for r in range(k):
                     run = key[:, r::k]
-                    np.minimum.accumulate(run, axis=1, out=run)
-            np.add(key, ramp[-1], out=view)
-            continue
-        key += ramp[0]
-        inside = np.ndarray((R, nz), np.bool_, support, off,
-                            (rs // item, zs // item))
-        barrier = np.where(inside, 0, inf)
-        for zi in range(nz):
-            col = key[:, zi]
-            for k, w in wave.inrow:
-                if zi >= k:
-                    np.minimum(col, key[:, zi - k] + w, out=col)
-            np.maximum(col, barrier[:, zi], out=col)
-        view[...] = key
+                    accumulate(run, 1, None, run)
+            add(key, ramp[-1], view)
+        else:
+            key += ramp[0]
+            R, nz, _ph = p.shapes[i]
+            inside = np.ndarray((R, nz), np.bool_, support, off, (rs, zs))
+            barrier = np.where(inside, 0, inf).astype(dtype)
+            for zi in range(nz):
+                col = key[:, zi]
+                for k, w in wave.inrow:
+                    if zi >= k:
+                        np.minimum(col, key[:, zi - k] + w, out=col)
+                np.maximum(col, barrier[:, zi], out=col)
+            view[...] = key
 
 
 def chamfer_two_scan(image: GridImage, mask: ChamferMask,
@@ -568,6 +718,9 @@ def chamfer_two_scan(image: GridImage, mask: ChamferMask,
     step are independent and form strided views of the padded array; the
     backward pass is the forward one on the array reversed along every
     axis, with the mirrored half-mask.
+
+    The passes work in int32 when every value they hold fits, in int64
+    otherwise; the map is int64 either way.
     """
     _require_integer_weights(mask)
     if not unsafe:
@@ -575,30 +728,42 @@ def chamfer_two_scan(image: GridImage, mask: ChamferMask,
         if check.verdict is Verdict.INVALID:
             raise EngineError(
                 f"image fails the validity check: {check.reason}")
-    lattice = image.lattice
-    lift = 3 - lattice.dim
-    forward, backward = _passes(lattice, plan or make_scan_plan(mask))
-    pad = tuple(max(f, b) for f, b in zip(forward.reach[lift:],
-                                          backward.reach[lift:]))
-    pad, pdims, inner, inf, dist, strides = _padded_setup(image, mask, pad)
+    sup = image.support
+    npts = int(np.count_nonzero(sup))
+    inf = _bound(mask, npts)
+    layout = _scan_layout(image.lattice, plan or make_scan_plan(mask),
+                          image.dims, image.origin)
+    # A pass holds distances less a ramp, plus slot weights (each at most
+    # inf, or inf plus the ramp), and moves them by at most the ramp: all
+    # within +-(2 * inf + 2 * ramp).
+    fits = 2 * (inf + layout.ramp) <= np.iinfo(np.int32).max
+    pad, pdims, inner, inf, dist, strides = _padded_setup(
+        image, mask, layout.pad, inf, np.int32 if fits else np.int64)
     buf = dist.reshape(-1)
-    lo = (0,) * lift + pad
-    hi = tuple(p + d for p, d in zip(lo, (1,) * lift + image.dims))
-    origin = (0,) * lift + image.origin
-    first = [o - p for o, p in zip(origin, lo)]
-    last = [-(o + h - l - 1) - l for o, l, h in zip(origin, lo, hi)]
-    s3 = (0,) * lift + tuple(int(s) for s in strides)
-    flip = tuple(-s for s in s3)
-    down = _rows(forward, first, lo, hi, 0, s3)
-    up = _rows(backward, last, lo, hi, buf.size - 1, flip)
     support = None
-    if sum(v[1] * v[2] for v in down) != np.count_nonzero(image.support):
-        sup = np.zeros(pdims, dtype=bool)
-        sup[inner] = image.support
-        support = sup.reshape(-1)
-    _sweep(buf, s3, down, forward, inf, support)
-    _sweep(buf, flip, up, backward, inf, support)
-    return DistanceMap(image.lattice, image.origin, dist[inner].copy(), inf)
+    if layout.points != npts:
+        full = np.zeros(pdims, dtype=bool)
+        full[inner] = sup
+        support = full.reshape(-1)
+    lines = dist.reshape(-1, pdims[-1])
+    ramps = [_row_ramp(p.wave, pdims[-1], dist.dtype)
+             for p in (layout.forward, layout.backward)]
+    relative = support is None and all(r is not None for r in ramps)
+    if relative:
+        # The backward pass runs along the reversed rows.
+        down, up = ramps[0], ramps[1][::-1]
+        lines -= down
+    kept = {}
+    _sweep(buf, layout.forward, inf, support, relative, kept)
+    if relative:
+        lines += down - up
+    if layout.backward.wave is not layout.forward.wave:
+        kept = {}
+    _sweep(buf, layout.backward, inf, support, relative, kept)
+    out = dist[inner]
+    out = (np.add(out, up[inner[-1]], dtype=np.int64) if relative
+           else out.astype(np.int64))
+    return DistanceMap(image.lattice, image.origin, out, inf)
 
 
 def dijkstra_oracle(image: GridImage, mask: ChamferMask) -> DistanceMap:

@@ -17,7 +17,11 @@ from latticedt.lattice import (
     square_lattice,
 )
 from latticedt.presets import preset_geometry, preset_mask
-from latticedt.weight_opt import max_relative_error, optimize_real_weights
+from latticedt.weight_opt import (
+    _search_table,
+    max_relative_error,
+    optimize_real_weights,
+)
 
 # The benchmark's checks decode CSV maps without latticedt.
 _spec = importlib.util.spec_from_file_location("bench_checks", os.path.join(
@@ -173,6 +177,26 @@ def test_weights_optimize_at_the_float_range_ends(capsys, s):
     printed = [line.split()[-1] for line in out.splitlines()[1:-1]]
     assert len(printed) == len(weights) and all(
         "e" in t and _printed_as(t, w) for t, w in zip(printed, weights))
+
+
+@pytest.mark.parametrize("fmt,sep", [("table", " "), ("csv", ",")])
+@pytest.mark.parametrize("s", [1e200, 1e-200])
+def test_weights_search_at_the_float_range_ends(capsys, s, fmt, sep):
+    # Spacing s * (1, 1) gives the spacing-1 rows with each scale
+    # multiplied by s, in e notation.
+    argv = ["weights", "search", "--vectors", "z2-2", "--max-weight", "4",
+            "--all", "--format", fmt]
+    _code, base, _err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--spacing", f"{s!r},{s!r}")
+    assert code == 0 and err == ""
+    _W, scale, _error = _search_table(preset_geometry("z2-2"), 4)
+    rows = [line.split(sep) for line in out.splitlines()]
+    expect = [line.split(sep) for line in base.splitlines()]
+    skip = 1 if fmt == "csv" else 0
+    assert len(rows) == len(expect) == len(scale) + skip
+    for row, ref, value in zip(rows[skip:], expect[skip:], scale.tolist()):
+        assert row[:2] + row[3:] == ref[:2] + ref[3:]
+        assert "e" in row[2] and _printed_as(row[2], value * s)
 
 
 def test_spacing_ratio_beyond_the_float_range_refused(capsys):

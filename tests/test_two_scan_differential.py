@@ -9,13 +9,16 @@ import pytest
 from grid_reference import border_union_offenders
 from scan_reference import level_loop_two_scan
 from latticedt.chamfer_mask import ChamferMask
+from latticedt import dt_engine
 from latticedt.dt_engine import (
     EngineError,
     GridImage,
     ScanPlan,
     Verdict,
+    _scan_layout,
     chamfer_two_scan,
     dijkstra_oracle,
+    distance_bound,
     make_scan_plan,
     validate_image,
 )
@@ -170,6 +173,74 @@ def test_gapped_support_matches_oracle(name, weights):
         assert validate_image(mask, case).verdict is Verdict.BORDER_BACKGROUND
         got = chamfer_two_scan(case, mask).values
         assert np.array_equal(got, dijkstra_oracle(case, mask).values)
+
+
+def _margin(img, mask):
+    """The two-scan works in int32 exactly when this is at most 2**31 - 1:
+    twice the infinity plus the largest in-row ramp over a padded row."""
+    layout = _scan_layout(img.lattice, make_scan_plan(mask), img.dims,
+                          img.origin)
+    return 2 * (distance_bound(img, mask) + layout.ramp)
+
+
+def _border_background(img, mask):
+    """Background wherever a mask step leaves the support."""
+    vals = img.values.copy()
+    sup = vals >= 0
+    for p in np.argwhere(vals == 1):
+        for v in mask.vectors:
+            q = p + v
+            if (np.any(q < 0) or np.any(q >= vals.shape)
+                    or not sup[tuple(q)]):
+                vals[tuple(p)] = 0
+                break
+    return GridImage(img.lattice, img.origin, vals)
+
+
+def _dtype_cases():
+    """(mask, image) pairs: full boxes, a carved support (the gapped
+    path) and masks with two in-row steps; all border-background."""
+    z2 = preset_geometry("z2-2").mask_with((2, 3))
+    bcc = preset_geometry("bcc2").mask_with((3, 4))
+    two = list(_two_in_row_masks())
+    for mask, dims, cut in ((z2, (4, 5), ()), (bcc, (6, 6, 7), ()),
+                            (z2, (6, 7), [((1, 1), 2, 9)]),
+                            (two[0], (4, 7), ()), (two[1], (4, 4, 9), ())):
+        img = random_image(mask.lattice, dims, 0.9, seed=len(dims),
+                           border_depth=0)
+        yield mask, _border_background(img.carved(cut), mask)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_int32_boundary_matches_references(case, monkeypatch):
+    # Weights scaled so that the int32 test passes by the least margin,
+    # then fails by the least: the work moves to int64 and every map stays
+    # the level loop's (and Dijkstra's on valid images), int64 with the
+    # same infinity.
+    base, img = list(_dtype_cases())[case]
+    limit = np.iinfo(np.int32).max
+    step = _margin(img, base) - 2
+    seen = []
+    sweep = dt_engine._sweep
+    monkeypatch.setattr(dt_engine, "_sweep", lambda buf, *a: (
+        seen.append(buf.dtype), sweep(buf, *a))[1])
+    for factor, dtype in (((limit - 2) // step, np.int32),
+                          ((limit - 2) // step + 1, np.int64)):
+        mask = ChamferMask.build(base.lattice, [
+            (v, factor * w) for v, w in zip(base.vectors, base.weights)])
+        assert (_margin(img, mask) <= limit) == (dtype is np.int32)
+        assert max(mask.weights) > 10 ** 7
+        seen.clear()
+        dmap = chamfer_two_scan(img, mask, unsafe=True)
+        assert seen == [dtype, dtype]
+        assert dmap.values.dtype == np.int64
+        assert dmap.infinity == distance_bound(img, mask)
+        plan = make_scan_plan(mask)
+        assert np.array_equal(dmap.values,
+                              level_loop_two_scan(img, mask, plan).values)
+        if validate_image(mask, img).verdict is not Verdict.INVALID:
+            assert np.array_equal(dmap.values,
+                                  dijkstra_oracle(img, mask).values)
 
 
 def _validation_cases(lattice, rng, reach, count=12):
