@@ -194,6 +194,7 @@ def test_weights_search_at_the_float_range_ends(capsys, s, fmt, sep):
     expect = [line.split(sep) for line in base.splitlines()]
     skip = 1 if fmt == "csv" else 0
     assert len(rows) == len(expect) == len(scale) + skip
+    assert rows[:skip] == expect[:skip]
     for row, ref, value in zip(rows[skip:], expect[skip:], scale.tolist()):
         assert row[:2] + row[3:] == ref[:2] + ref[3:]
         assert "e" in row[2] and _printed_as(row[2], value * s)

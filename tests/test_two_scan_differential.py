@@ -8,8 +8,8 @@ import pytest
 
 from grid_reference import border_union_offenders
 from scan_reference import level_loop_two_scan
-from latticedt.chamfer_mask import ChamferMask
 from latticedt import dt_engine
+from latticedt.chamfer_mask import ChamferMask
 from latticedt.dt_engine import (
     EngineError,
     GridImage,
@@ -128,6 +128,20 @@ def _holes(img, mask, rng, count):
     return GridImage(img.lattice, img.origin, vals)
 
 
+def _border_background(img, mask):
+    """Background wherever a mask step leaves the support."""
+    vals = img.values.copy()
+    sup = vals >= 0
+    for p in np.argwhere(vals == 1):
+        for v in mask.vectors:
+            q = p + v
+            if (np.any(q < 0) or np.any(q >= vals.shape)
+                    or not sup[tuple(q)]):
+                vals[tuple(p)] = 0
+                break
+    return GridImage(img.lattice, img.origin, vals)
+
+
 def test_two_in_row_steps_match_level_loop():
     rng = np.random.default_rng(21)
     for mask in _two_in_row_masks():
@@ -159,16 +173,7 @@ def test_gapped_support_matches_oracle(name, weights):
     cases = [_holes(img, mask, rng, 5)]
     cut = img.carved([((1,) * mask.dim, reach,
                        mask.dim * (dims[0] - 1) - 3 * reach)])
-    # Background wherever a mask step leaves the carved support.
-    vals = cut.values.copy()
-    sup = vals >= 0
-    for p in np.argwhere(vals == 1):
-        for v in mask.vectors:
-            q = p + v
-            if np.any(q < 0) or np.any(q >= dims) or not sup[tuple(q)]:
-                vals[tuple(p)] = 0
-                break
-    cases.append(GridImage(img.lattice, img.origin, vals))
+    cases.append(_border_background(cut, mask))
     for case in cases:
         assert validate_image(mask, case).verdict is Verdict.BORDER_BACKGROUND
         got = chamfer_two_scan(case, mask).values
@@ -181,20 +186,6 @@ def _margin(img, mask):
     layout = _scan_layout(img.lattice, make_scan_plan(mask), img.dims,
                           img.origin)
     return 2 * (distance_bound(img, mask) + layout.ramp)
-
-
-def _border_background(img, mask):
-    """Background wherever a mask step leaves the support."""
-    vals = img.values.copy()
-    sup = vals >= 0
-    for p in np.argwhere(vals == 1):
-        for v in mask.vectors:
-            q = p + v
-            if (np.any(q < 0) or np.any(q >= vals.shape)
-                    or not sup[tuple(q)]):
-                vals[tuple(p)] = 0
-                break
-    return GridImage(img.lattice, img.origin, vals)
 
 
 def _dtype_cases():
@@ -215,15 +206,18 @@ def _dtype_cases():
 def test_int32_boundary_matches_references(case, monkeypatch):
     # Weights scaled so that the int32 test passes by the least margin,
     # then fails by the least: the work moves to int64 and every map stays
-    # the level loop's (and Dijkstra's on valid images), int64 with the
-    # same infinity.
+    # the level loop's and Dijkstra's, int64 with the same infinity.
     base, img = list(_dtype_cases())[case]
     limit = np.iinfo(np.int32).max
     step = _margin(img, base) - 2
-    seen = []
-    sweep = dt_engine._sweep
-    monkeypatch.setattr(dt_engine, "_sweep", lambda buf, *a: (
-        seen.append(buf.dtype), sweep(buf, *a))[1])
+    seen, sweep = [], dt_engine._sweep
+
+    def spy(buf, *args):
+        seen.append(buf.dtype)
+        sweep(buf, *args)
+
+    monkeypatch.setattr(dt_engine, "_sweep", spy)
+    assert validate_image(base, img).verdict is not Verdict.INVALID
     for factor, dtype in (((limit - 2) // step, np.int32),
                           ((limit - 2) // step + 1, np.int64)):
         mask = ChamferMask.build(base.lattice, [
@@ -238,9 +232,7 @@ def test_int32_boundary_matches_references(case, monkeypatch):
         plan = make_scan_plan(mask)
         assert np.array_equal(dmap.values,
                               level_loop_two_scan(img, mask, plan).values)
-        if validate_image(mask, img).verdict is not Verdict.INVALID:
-            assert np.array_equal(dmap.values,
-                                  dijkstra_oracle(img, mask).values)
+        assert np.array_equal(dmap.values, dijkstra_oracle(img, mask).values)
 
 
 def _validation_cases(lattice, rng, reach, count=12):
