@@ -149,7 +149,6 @@ class ScanPlan:
     half2: tuple  # (vector, weight) with normal . v > 0, for the backward pass
 
 
-@functools.lru_cache(maxsize=64)
 def make_scan_plan(mask: ChamferMask) -> ScanPlan:
     """The lexicographic split: half1 holds the mask vectors whose first
     nonzero coordinate is negative, half2 their mirrors.
@@ -320,7 +319,9 @@ class _Wavefront(NamedTuple):
     stacked cross-row reads (basis, lo, weights): the slots
     (lo + k) @ basis for k over the box ``weights.shape``, with weight -1
     where a slot is not in the half-mask.  ``reach`` is, per axis, the
-    farthest any slot reads."""
+    farthest any slot reads.  ``weights`` and ``dz`` list every slot's
+    weight and z offset, read after read, and ``here`` is the point's own
+    slot in the last read."""
 
     skew: int
     row_step: int
@@ -329,6 +330,9 @@ class _Wavefront(NamedTuple):
     inrow: tuple
     reads: tuple
     reach: tuple
+    weights: np.ndarray
+    dz: np.ndarray
+    here: tuple
 
 
 def _best_box(lattice_basis, vectors, span):
@@ -413,7 +417,7 @@ def _wavefront(lattice: Lattice, half: tuple) -> _Wavefront:
         cost = sum(r[0][0] for r in parts) + _VIEW_COST * (len(parts) - 1)
         if best is None or cost < best[0]:
             best = (cost, parts)
-    reads, reach = [], [0, 0, 0]
+    reads, reach, dz = [], [0, 0, 0], []
     for (_size, B, lo, rel), group in best[1]:
         weights = np.full(tuple(rel.max(0) + 1), -1, dtype=np.int64)
         weights[tuple(rel.T)] = [w for _v, w in group]
@@ -422,8 +426,17 @@ def _wavefront(lattice: Lattice, half: tuple) -> _Wavefront:
             *((l, l + n - 1) for l, n in zip(lo, weights.shape)))))
         reach = np.maximum(reach, np.abs(corners @ np.array(B)).max(0))
         reads.append((B, lo, weights))
+        dz.append((np.indices(weights.shape).reshape(3, -1).T + lo)
+                  @ [b[2] for b in B])
+    weights = np.concatenate([w.ravel() for _B, _lo, w in reads])
+    dz = np.concatenate(dz)
+    for a in (weights, dz):
+        a.flags.writeable = False
+    # The point itself is the slot of weight 0, in the last read.
+    here = tuple(int(i[0]) for i in np.nonzero(reads[-1][2] == 0))
     return _Wavefront(skew, row_step(skew), period, phase, inrow,
-                      tuple(reads), tuple(int(r) for r in reach))
+                      tuple(reads), tuple(int(r) for r in reach), weights,
+                      dz, here)
 
 
 @functools.lru_cache(maxsize=64)
@@ -438,11 +451,9 @@ def _passes(lattice: Lattice, plan: ScanPlan) -> tuple:
                           "make_scan_plan: half1 vectors lead with a "
                           "negative coordinate, half2 vectors with a "
                           "positive one")
-    mirror = tuple((tuple(-c for c in v), w) for v, w in plan.half2)
-    forward = _wavefront(lattice, plan.half1)
-    if sorted(mirror) == sorted(plan.half1):
-        return forward, forward
-    return forward, _wavefront(lattice, mirror)
+    return (_wavefront(lattice, plan.half1),
+            _wavefront(lattice, tuple((tuple(-c for c in v), w)
+                                      for v, w in plan.half2)))
 
 
 def _rows(wave: _Wavefront, corner, lo, hi, base, strides):
@@ -480,18 +491,13 @@ class _Pass(NamedTuple):
     wavefront order as (offset, shape index) (see _rows).  A view reads
     ``reads``, each as (offset of its first slot from the view's, slot
     box, element steps of the slot axes and of the view's rows and
-    points, its slots in the scratch block); ``weights`` and ``dz`` hold
-    every slot's weight (-1 for none) and z offset, and ``here`` is the
-    point's own slot in the last read."""
+    points, its slots in the scratch block)."""
 
     wave: _Wavefront
     strides: tuple
     shapes: tuple
     steps: np.ndarray
     reads: tuple
-    weights: np.ndarray
-    dz: np.ndarray
-    here: tuple
 
 
 def _pass(wave: _Wavefront, strides, views) -> _Pass:
@@ -502,25 +508,17 @@ def _pass(wave: _Wavefront, strides, views) -> _Pass:
     _code, first, index = np.unique(
         (R * (nz.max(initial=0) + 1) + nz) * wave.period + ph,
         return_index=True, return_inverse=True)
-    reads, slots, dz = [], 0, []
+    reads, slots = [], 0
     for B, lo, weights in wave.reads:
         steps = [sum(map(operator.mul, b, strides)) for b in B]
         reads.append((sum(map(operator.mul, lo, steps)), weights.shape,
                       tuple(steps) + (rs, zs),
                       slice(slots, slots + weights.size)))
         slots += weights.size
-        dz.append((np.indices(weights.shape).reshape(3, -1).T + lo)
-                  @ [b[2] for b in B])
     steps = np.stack([views[:, 0], index.reshape(-1)], axis=1)
-    weights = np.concatenate([w.ravel() for _B, _lo, w in wave.reads])
-    dz = np.concatenate(dz)
-    for a in (steps, weights, dz):
-        a.flags.writeable = False
-    # The point itself is the slot of weight 0, in the last read.
-    here = tuple(int(i[0]) for i in np.nonzero(wave.reads[-1][2] == 0))
+    steps.flags.writeable = False
     shapes = tuple(map(tuple, views[first, 1:].tolist()))
-    return _Pass(wave, strides, shapes, steps, tuple(reads), weights, dz,
-                 here)
+    return _Pass(wave, strides, shapes, steps, tuple(reads))
 
 
 class _Layout(NamedTuple):
@@ -535,12 +533,10 @@ class _Layout(NamedTuple):
     ramp: int
 
 
-@functools.lru_cache(maxsize=16)
 def _scan_layout(lattice: Lattice, plan: ScanPlan, dims: tuple,
                  origin: tuple) -> _Layout:
     """The walks of ``plan`` over the box ``dims`` at ``origin``, padded
-    by the farthest read of either pass.  It depends on nothing else, so
-    transforms of boxes of one shape share it."""
+    by the farthest read of either pass."""
     lift = 3 - lattice.dim
     forward, backward = _passes(lattice, plan)
     pad = tuple(max(f, b) for f, b in zip(forward.reach[lift:],
@@ -572,7 +568,7 @@ def _row_ramp(wave: _Wavefront, size, dtype):
     return (wave.inrow[0][1] * (np.arange(size) // wave.period)).astype(dtype)
 
 
-def _sweep(buf, p: _Pass, inf, support, relative, kept):
+def _sweep(buf, p: _Pass, inf, support, relative):
     """One pass ``p`` over the flat distances ``buf``, in its dtype.
 
     Every view of a wavefront reads its cross-row neighbours (and itself)
@@ -591,15 +587,14 @@ def _sweep(buf, p: _Pass, inf, support, relative, kept):
     only on v and on the phase of the view's z.  ``support`` (flat bool,
     or None when every lattice point of the box is in the support)
     switches to a point-by-point in-row step that stops at points outside
-    the support.  ``kept`` maps view shapes to their scratch and weights;
-    the two passes of a walk share it."""
+    the support."""
     dtype, item = buf.dtype, buf.itemsize
     wave, (rs, zs) = p.wave, p.reads[0][2][-2:]
     rmax = max((R for R, _nz, _ph in p.shapes), default=0)
     zmax = max((nz for _R, nz, _ph in p.shapes), default=0)
     j = np.arange(zmax, dtype=dtype)
     ramps = [w * (j // k) for k, w in wave.inrow] or [0 * j]
-    slots = p.weights.size
+    slots = wave.weights.size
     # All slots of all reads land in one scratch block, slot-major, so a
     # single reduction takes their minimum.  The weights are laid out the
     # same way: contiguous per view shape while _WEIGHT_BYTES lasts, then
@@ -609,19 +604,27 @@ def _sweep(buf, p: _Pass, inf, support, relative, kept):
         period = wave.period
         # Rows run along the last axis, so strides[1] is a padded row.
         none = inf + w * ((abs(p.strides[1]) - 1) // period)
-        gain = w * ((np.arange(period)[:, None] + p.dz) // period)
-        lead = np.where(p.weights < 0, none, p.weights + gain).astype(dtype)
+        gain = w * ((np.arange(period)[:, None] + wave.dz) // period)
+        lead = np.where(wave.weights < 0, none,
+                        wave.weights + gain).astype(dtype)
         lead = {(nz, ph): lead[ph, :, None, None] for _R, nz, ph in p.shapes}
     else:
-        wts = np.where(p.weights < 0, inf, p.weights)
+        wts = np.where(wave.weights < 0, inf, wave.weights)
         lead = {(nz, ph): (wts[:, None] - ramps[0][:nz]).astype(dtype)[:, None]
                 for _R, nz, ph in p.shapes}
-    new = [shape for shape in p.shapes if shape not in kept]
-    size = max((R * nz for R, nz, _ph in new), default=0)
+    size = max((R * nz for R, nz, _ph in p.shapes), default=0)
     scratch = np.empty(slots * size, dtype)
     keys = np.empty(size, dtype)
-    wide, budget = {}, _WEIGHT_BYTES
-    for R, nz, ph in new:
+    # Each read of a view shape is one index into a window over ``buf``:
+    # window[i] is the read whose first slot is element i + first.  Per
+    # read, the lowest and highest element of its slot box (from its
+    # first slot) and the byte steps of the window's axes.
+    ends = [(sum(min(st, 0) * (n - 1) for n, st in zip(box, steps)),
+             sum(max(st, 0) * (n - 1) for n, st in zip(box, steps)),
+             tuple(st * item for st in (1,) + steps))
+            for _start, box, steps, _part in p.reads]
+    wide, budget, entries = {}, _WEIGHT_BYTES, []
+    for R, nz, ph in p.shapes:
         block = scratch[:slots * R * nz].reshape(slots, R, nz)
         if block.nbytes <= budget and R < rmax:
             budget -= block.nbytes
@@ -632,41 +635,25 @@ def _sweep(buf, p: _Pass, inf, support, relative, kept):
                 wide[nz, ph] = np.empty((slots, rmax, nz), dtype)
                 wide[nz, ph][...] = lead[nz, ph]
             w = wide[nz, ph][:, :R]
-        kept[R, nz, ph] = (block, keys[:R * nz].reshape(R, nz), w,
-                           [r[:nz] for r in ramps],
-                           [block[part].reshape(box + (R, nz))
-                            for _start, box, _steps, part in p.reads])
-    entries = []
-    for R, nz, ph in p.shapes:
-        block, key, w, ramp, dests = kept[R, nz, ph]
-        entries.append((block, key, w, ramp, [
-            (dest, start, box + (R, nz), tuple(st * item for st in steps))
-            for dest, (start, box, steps, _part) in zip(dests, p.reads)]))
-    add, here = np.add, p.here
+        low = (R - 1) * min(rs, 0) + (nz - 1) * min(zs, 0)
+        high = (R - 1) * max(rs, 0) + (nz - 1) * max(zs, 0)
+        reads = []
+        for (start, box, _steps, part), (lo, hi, bstr) in zip(p.reads, ends):
+            first = -lo - low
+            window = np.ndarray(
+                (buf.size - first - hi - high,) + box + (R, nz), dtype, buf,
+                first * item, bstr)
+            reads.append((block[part].reshape(box + (R, nz)), window,
+                          start - first))
+        entries.append((block, keys[:R * nz].reshape(R, nz), w,
+                        None if relative else [r[:nz] for r in ramps],
+                        reads))
+    add, here = np.add, wave.here
     reduce, accumulate = np.minimum.reduce, np.minimum.accumulate
-    if relative and len(p.reads) == 1:
-        # One read per view (the z2 and z3 presets, bcc2 and fcc2), taken
-        # from a window that holds every read of its shape in ``buf``.
-        fast = []
-        for block, key, w, _r, ((dest, start, shape, bstr),) in entries:
-            first = -sum((n - 1) * b for n, b in zip(shape, bstr) if b < 0)
-            last = sum((n - 1) * b for n, b in zip(shape, bstr) if b > 0)
-            fast.append((np.ndarray(((buf.nbytes - first - last) // item,)
-                                    + shape, dtype, buf, first,
-                                    (item,) + bstr),
-                         start - first // item, dest, block, w, key))
-        for off, i in p.steps.tolist():
-            window, start, dest, block, w, key = fast[i]
-            stack = window[off + start]
-            dest[...] = stack
-            add(block, w, block)
-            reduce(block, 0, None, key)
-            accumulate(key, 1, None, stack[here])
-        return
     for off, i in p.steps.tolist():
-        block, key, w, ramp, parts = entries[i]
-        for dest, start, shape, bstr in parts:
-            stack = np.ndarray(shape, dtype, buf, (off + start) * item, bstr)
+        block, key, w, ramp, reads = entries[i]
+        for dest, window, start in reads:
+            stack = window[off + start]
             dest[...] = stack
         view = stack[here]
         add(block, w, block)
@@ -753,13 +740,10 @@ def chamfer_two_scan(image: GridImage, mask: ChamferMask,
         # The backward pass runs along the reversed rows.
         down, up = ramps[0], ramps[1][::-1]
         lines -= down
-    kept = {}
-    _sweep(buf, layout.forward, inf, support, relative, kept)
+    _sweep(buf, layout.forward, inf, support, relative)
     if relative:
         lines += down - up
-    if layout.backward.wave is not layout.forward.wave:
-        kept = {}
-    _sweep(buf, layout.backward, inf, support, relative, kept)
+    _sweep(buf, layout.backward, inf, support, relative)
     out = dist[inner]
     out = (np.add(out, up[inner[-1]], dtype=np.int64) if relative
            else out.astype(np.int64))
