@@ -320,8 +320,8 @@ class _Wavefront(NamedTuple):
     (lo + k) @ basis for k over the box ``weights.shape``, with weight -1
     where a slot is not in the half-mask.  ``reach`` is, per axis, the
     farthest any slot reads.  ``weights`` and ``dz`` list every slot's
-    weight and z offset, read after read, and ``here`` is the point's own
-    slot in the last read."""
+    weight (-1 for none) and z offset, read after read, and ``here`` is
+    the point's own slot in the last read."""
 
     skew: int
     row_step: int
@@ -651,8 +651,7 @@ def _sweep(buf, p: _Pass, inf, support, relative):
             reads.append((block[part].reshape(box + (R, nz)), window,
                           start - first))
         entries.append((block, keys[:R * nz].reshape(R, nz), w,
-                        None if relative else [r[:nz] for r in ramps],
-                        reads))
+                        [r[:nz] for r in ramps], reads))
     add, here = np.add, wave.here
     reduce, accumulate = np.minimum.reduce, np.minimum.accumulate
     for off, i in p.steps.tolist():
